@@ -15,6 +15,7 @@ module U = Braid_uarch
 module W = Braid_workload
 module Cli = Braid_cli.Cli_common
 module Api = Braid_api
+module Suite = Braid_sim.Suite
 
 let scale_arg = Ops.scale_arg
 let seed_arg = Cli.seed_arg
@@ -40,12 +41,13 @@ let list_cmd =
 
 let stats_cmd =
   let run (profile : W.Spec.profile) seed scale =
-    let program, init_mem = W.Spec.generate profile ~seed ~scale in
-    let rep = C.Transform.run program in
+    let ctx = Suite.create_ctx () in
+    let p = Suite.prepare ctx ~seed ~scale profile in
+    let rep = p.Suite.braid in
     let stats = C.Braid_stats.summarize (C.Braid_stats.of_program rep.C.Transform.program) in
     Printf.printf "%s (%s)\n\n" profile.W.Spec.name profile.W.Spec.description;
     Printf.printf "static: %d blocks, %d instructions, %d braids\n"
-      (Program.num_blocks program)
+      (Program.num_blocks p.Suite.virtual_ir)
       (Program.num_static_instrs rep.C.Transform.program)
       rep.C.Transform.braids;
     Printf.printf "splits: %d working-set, %d ordering; spills: %d values\n\n"
@@ -58,8 +60,7 @@ let stats_cmd =
     Printf.printf "Table 3  internals / in / out  %.2f / %.2f / %.2f (excl. singles)\n\n"
       stats.C.Braid_stats.avg_internals_multi stats.C.Braid_stats.avg_ext_inputs_multi
       stats.C.Braid_stats.avg_ext_outputs_multi;
-    let out = Emulator.run ~max_steps:(50 * scale) ~init_mem rep.C.Transform.program in
-    let vs = C.Value_stats.of_trace (Option.get out.Emulator.trace) in
+    let vs = C.Value_stats.of_trace (Suite.trace ctx p U.Config.Braid_exec) in
     Printf.printf "§1.1     values used once      %s\n"
       (Render.pct (C.Value_stats.fanout_exactly vs 1));
     Printf.printf "         used at most twice    %s\n"
@@ -81,9 +82,8 @@ let inspect_cmd =
     Cmdliner.Arg.(value & opt int 1 & info [ "block" ] ~docv:"ID" ~doc:"Block to print.")
   in
   let run (profile : W.Spec.profile) seed scale block =
-    let program, _ = W.Spec.generate profile ~seed ~scale in
-    let rep = C.Transform.run program in
-    print_string (Disasm.block_with_braids rep.C.Transform.program block)
+    let p = Suite.prepare (Suite.create_ctx ()) ~seed ~scale profile in
+    print_string (Disasm.block_with_braids p.Suite.braid.C.Transform.program block)
   in
   Cmdliner.Cmd.v
     (Cmdliner.Cmd.info "inspect" ~doc:"Disassemble one block braid by braid (Fig 2 view).")
@@ -98,10 +98,10 @@ let disasm_cmd =
       & info [ "braided" ] ~doc:"Disassemble the braid binary instead of the conventional one.")
   in
   let run (profile : W.Spec.profile) seed scale braided =
-    let program, _ = W.Spec.generate profile ~seed ~scale in
+    let p = Suite.prepare (Suite.create_ctx ()) ~seed ~scale profile in
     let binary =
-      if braided then (C.Transform.run program).C.Transform.program
-      else (C.Transform.conventional program).C.Extalloc.program
+      if braided then p.Suite.braid.C.Transform.program
+      else p.Suite.conventional.C.Extalloc.program
     in
     print_string (Disasm.program_asm binary)
   in

@@ -1,4 +1,3 @@
-module C = Braid_core
 module U = Braid_uarch
 module W = Braid_workload
 module Obs = Braid_obs
@@ -54,25 +53,9 @@ let ctx_for env sample =
       let* spec = spec_of_sample sm in
       Ok (Sim.Suite.create_ctx ~sample:spec ())
 
-let binary_for core program =
-  match core with
-  | U.Config.Braid_exec | U.Config.Cgooo ->
-      (C.Transform.run program).C.Transform.program
-  | U.Config.In_order | U.Config.Dep_steer | U.Config.Ooo ->
-      (C.Transform.conventional program).C.Extalloc.program
-
-(* Shared by run and trace: generate, compile for the chosen core, emulate,
-   and time the resulting trace on the configured machine. This is the
-   computation the one-shot CLI historically ran inline. *)
-let simulate ~(profile : W.Spec.profile) ~seed ~scale ~core ~width ~obs =
-  let program, init_mem = W.Spec.generate profile ~seed ~scale in
+let machine core width =
   let cfg = U.Config.preset_of_kind core in
-  let binary = binary_for core program in
-  let cfg = if width = 8 then cfg else U.Config.scale_width cfg width in
-  let out = Emulator.run ~max_steps:(50 * scale) ~init_mem binary in
-  let trace = Option.get out.Emulator.trace in
-  let r = U.Pipeline.run ~obs ~warm_data:(List.map fst init_mem) cfg trace in
-  (r, trace)
+  if width = 8 then cfg else U.Config.scale_width cfg width
 
 (* Wire a Runner/Sweep on_done hook to the caller's progress stream. The
    hook fires on worker domains: count and emission happen under one
@@ -118,34 +101,29 @@ let pp_result b (res : U.Pipeline.result) =
     (a.U.Machine.int_rf_reads + a.U.Machine.int_rf_writes)
     a.U.Machine.bypass_values
 
+(* run, trace and rv prepare in a ctx of their own that dies with the
+   request, never in the env's: retaining their traces in a daemon's
+   long-lived ctx would make repeats warm, but the daemon's peak memory
+   would grow with every distinct program served. *)
 let exec_run (r : Request.run) =
   let* profile = find_bench r.Request.r_bench in
   let* scale = positive "scale" r.Request.r_scale in
   let* width = check_width r.Request.r_width in
-  let seed = r.Request.r_seed and core = r.Request.r_core in
+  let cfg = machine r.Request.r_core width in
+  let ctx = Sim.Suite.create_ctx () in
+  let p = Sim.Suite.prepare ctx ~seed:r.Request.r_seed ~scale profile in
+  let b = Buffer.create 1024 in
+  let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   match r.Request.r_sample with
   | None ->
-      let res, _ =
-        simulate ~profile ~seed ~scale ~core ~width ~obs:Obs.Sink.disabled
-      in
-      let b = Buffer.create 1024 in
-      Printf.ksprintf (Buffer.add_string b) "%s on %s\n" profile.W.Spec.name
-        res.U.Pipeline.config_name;
+      let res = Sim.Suite.run ctx p cfg in
+      pf "%s on %s\n" profile.W.Spec.name res.U.Pipeline.config_name;
       pp_result b res;
       Ok (Response.Run_done { text = Buffer.contents b; sampled = None })
   | Some sm ->
       let* spec = spec_of_sample sm in
-      let program, init_mem = W.Spec.generate profile ~seed ~scale in
-      let cfg = U.Config.preset_of_kind core in
-      let cfg = if width = 8 then cfg else U.Config.scale_width cfg width in
-      let t =
-        Braid_sample.Driver.run ~init_mem
-          ~warm_data:(List.map fst init_mem)
-          ~max_steps:(50 * scale) ~spec cfg (binary_for core program)
-      in
+      let t = Sim.Suite.sample ctx p ~spec cfg in
       let res = t.Braid_sample.Driver.result in
-      let b = Buffer.create 1024 in
-      let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
       pf "%s on %s (sampled: %s)\n" profile.W.Spec.name
         res.U.Pipeline.config_name
         (Braid_sample.Spec.to_string spec);
@@ -156,9 +134,7 @@ let exec_run (r : Request.run) =
       let sp_error =
         if not sm.Request.sm_verify then None
         else begin
-          let full, _ =
-            simulate ~profile ~seed ~scale ~core ~width ~obs:Obs.Sink.disabled
-          in
+          let full = Sim.Suite.run ctx p cfg in
           let e = Braid_sample.Driver.error_vs ~full t in
           pf "  full-simulation IPC %.3f (sampled error %.2f%%)\n"
             full.U.Pipeline.ipc (100.0 *. e);
@@ -314,9 +290,14 @@ let exec_trace (t : Request.trace) =
   let obs = Obs.Sink.create () in
   let tracer = Obs.Tracer.create ~capacity:buffer () in
   Obs.Sink.attach_tracer obs tracer;
-  let r, trace =
-    simulate ~profile ~seed:t.Request.t_seed ~scale ~core:t.Request.t_core
-      ~width ~obs
+  let core = t.Request.t_core in
+  let ctx = Sim.Suite.create_ctx () in
+  let p = Sim.Suite.prepare ctx ~seed:t.Request.t_seed ~scale profile in
+  let trace = Sim.Suite.trace ctx p core in
+  (* an observed run is not memoised: the sink is this request's own *)
+  let r =
+    U.Pipeline.run ~obs ~warm_data:p.Sim.Suite.warm_data (machine core width)
+      trace
   in
   let events = Obs.Tracer.events tracer in
   let label uid = Disasm.instr trace.Trace.events.(uid).Trace.instr in
@@ -436,17 +417,11 @@ let exec_rv (v : Request.rv) =
     rv.Rv.Emu.steps;
   if rv.Rv.Emu.output <> "" then pf "output: %s\n" (String.escaped rv.Rv.Emu.output);
   pf "translated: %d IR instructions retired\n" ir.Emulator.dynamic_count;
-  (* Same compile/emulate/simulate chain as [simulate], with the program
-     coming from the RV frontend instead of a workload generator. *)
+  let ctx = Sim.Suite.create_ctx () in
+  let p = Sim.Suite.prepare_program ctx ~init_mem program in
   List.iter
     (fun core ->
-      let cfg = U.Config.preset_of_kind core in
-      let out = Emulator.run ~init_mem (binary_for core program) in
-      let trace = Option.get out.Emulator.trace in
-      let r =
-        U.Pipeline.run ~obs:Obs.Sink.disabled
-          ~warm_data:(List.map fst init_mem) cfg trace
-      in
+      let r = Sim.Suite.run ctx p (U.Config.preset_of_kind core) in
       pf "  %-24s %8d cycles, IPC %.3f\n" r.U.Pipeline.config_name
         r.U.Pipeline.cycles r.U.Pipeline.ipc)
     cores;
@@ -491,8 +466,7 @@ let exec_cmp env (c : Request.cmp) =
         Ok (p :: acc))
       (Ok []) c.Request.c_benches
   in
-  let cfg = U.Config.preset_of_kind c.Request.c_core in
-  let cfg = if width = 8 then cfg else U.Config.scale_width cfg width in
+  let cfg = machine c.Request.c_core width in
   let* cmp =
     U.Config.Cmp.validate
       (U.Config.Cmp.make ~l2:c.Request.c_l2 ~cores:c.Request.c_cores

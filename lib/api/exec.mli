@@ -8,8 +8,11 @@
 type env = {
   ctx : Braid_sim.Suite.ctx;
       (** shared memoisation context: a daemon keeps one for its whole
-          lifetime, so anything warm (prepared traces, simulation results)
-          is reused across requests and clients *)
+          lifetime, so experiment, sweep and cmp requests reuse anything
+          warm (prepared traces, simulation results) across requests and
+          clients. run, trace and rv requests prepare in a ctx of their
+          own, which keeps the daemon's memory from growing with every
+          distinct program served. *)
   obs : Braid_obs.Sink.t;
       (** the daemon's counter registry ([dse.simulations],
           [dse.cache_hits], ...); {!Braid_obs.Sink.disabled} one-shot *)

@@ -31,10 +31,9 @@ let check ?(cores = 2) ?(kind = Config.Braid_exec) ~seed ~index () =
         let case = Gen.generate ~seed ~index:((index * cores) + i) in
         let program, init_mem = Gen.build case in
         let binary =
-          match kind with
-          | Config.Braid_exec | Config.Cgooo ->
-              (Transform.run program).Transform.program
-          | _ -> (Transform.conventional program).Extalloc.program
+          match Config.Core_kind.binary kind with
+          | `Braid -> (Transform.run program).Transform.program
+          | `Conv -> (Transform.conventional program).Extalloc.program
         in
         let out = Emulator.run ~max_steps ~trace:true ~init_mem binary in
         if out.Emulator.stop <> Trace.Halted then

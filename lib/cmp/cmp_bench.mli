@@ -12,8 +12,8 @@ val resolve :
   Braid_uarch.Config.Cmp.t ->
   Cmp.workload array
 (** One workload per core, round-robin over [cmp.workloads]
-    ({!Braid_uarch.Config.Cmp.workload_of}); the trace is the braid
-    binary's on a braid core and the conventional binary's otherwise.
+    ({!Braid_uarch.Config.Cmp.workload_of}); the trace is
+    {!Braid_sim.Suite.trace} of the configuration's kind.
 
     [ext_usable] is the compile-time external-register budget and
     defaults to {!Braid_core.Extalloc.usable_per_class} — the

@@ -30,16 +30,9 @@ type outcome = { results : point_result list; stats : stats }
    budget, exactly as the paper's Fig 6 study does. Conventional binaries
    are always allocated against the full architectural budget. *)
 let ext_usable_of (cfg : Config.t) =
-  match cfg.Config.kind with
-  | Config.Braid_exec | Config.Cgooo ->
-      min cfg.Config.ext_regs Braid_core.Extalloc.usable_per_class
-  | Config.In_order | Config.Dep_steer | Config.Ooo ->
-      Braid_core.Extalloc.usable_per_class
-
-let binary_of (cfg : Config.t) =
-  match cfg.Config.kind with
-  | Config.Braid_exec | Config.Cgooo -> "braid"
-  | Config.In_order | Config.Dep_steer | Config.Ooo -> "conv"
+  match Config.Core_kind.binary cfg.Config.kind with
+  | `Braid -> min cfg.Config.ext_regs Braid_core.Extalloc.usable_per_class
+  | `Conv -> Braid_core.Extalloc.usable_per_class
 
 let key_of ~ctx ~seed ~scale ~cores (cfg : Config.t) (pr : Spec.profile) =
   {
@@ -47,7 +40,7 @@ let key_of ~ctx ~seed ~scale ~cores (cfg : Config.t) (pr : Spec.profile) =
     bench = pr.Spec.name;
     seed;
     scale;
-    binary = binary_of cfg;
+    binary = Config.Core_kind.binary_name cfg.Config.kind;
     ext_usable = ext_usable_of cfg;
     (* a sampled sweep answers a different question than a full one:
        keep their cache entries apart *)
@@ -60,11 +53,7 @@ let key_of ~ctx ~seed ~scale ~cores (cfg : Config.t) (pr : Spec.profile) =
 
 let simulate ~ctx ~seed ~scale (cfg : Config.t) (pr : Spec.profile) =
   let p = Suite.prepare ctx ~seed ~scale ~ext_usable:(ext_usable_of cfg) pr in
-  let r =
-    match cfg.Config.kind with
-    | Config.Braid_exec | Config.Cgooo -> Suite.run_braid ctx p cfg
-    | Config.In_order | Config.Dep_steer | Config.Ooo -> Suite.run_conv ctx p cfg
-  in
+  let r = Suite.run ctx p cfg in
   {
     Cache.cycles = r.Braid_uarch.Pipeline.cycles;
     instructions = r.Braid_uarch.Pipeline.instructions;

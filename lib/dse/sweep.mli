@@ -36,8 +36,9 @@ type outcome = { results : point_result list; stats : stats }
 
 val ext_usable_of : Braid_uarch.Config.t -> int
 (** Compile-time external register budget a sweep job compiles with:
-    [min ext_regs usable_per_class] on a braid core (the hardware cannot
-    hold more — Fig 6's methodology), the full budget otherwise. *)
+    [min ext_regs usable_per_class] for a kind that runs the braid binary
+    (the hardware cannot hold more — Fig 6's methodology), the full
+    budget otherwise. *)
 
 val job_count : benches:'a list -> 'b list -> int
 (** Number of (point × benchmark) jobs {!run} will fan out — the progress

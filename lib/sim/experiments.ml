@@ -119,7 +119,7 @@ let fanout_lifetime =
     ~cols
     (fun ctx ~scale pr ->
       let p = Suite.prepare ctx ~scale pr in
-      let vs = C.Value_stats.of_trace (p.Suite.conv_trace ()) in
+      let vs = C.Value_stats.of_trace (Suite.trace ctx p U.Config.Ooo) in
       [|
         C.Value_stats.fanout_exactly vs 1 *. 100.0;
         C.Value_stats.fanout_at_most vs 2 *. 100.0;
@@ -142,7 +142,7 @@ let instruction_mix =
     ~headline:[ ("loads%", "loads%"); ("branches%", "branches%"); ("fp%", "fp%") ]
     (fun ctx ~scale pr ->
       let p = Suite.prepare ctx ~scale pr in
-      let trc = p.Suite.conv_trace () in
+      let trc = Suite.trace ctx p U.Config.Ooo in
       let n = float_of_int (max 1 (Trace.length trc)) in
       let count f =
         100.0
@@ -274,7 +274,7 @@ let fig1 =
         let cfg =
           U.Config.perfect_frontend (U.Config.scale_width U.Config.ooo_8wide w)
         in
-        Suite.run_conv ctx p (named (Printf.sprintf "ooo-perfect-%dw" w) cfg)
+        Suite.run ctx p (named (Printf.sprintf "ooo-perfect-%dw" w) cfg)
       in
       let r4 = run 4 and r8 = run 8 and r16 = run 16 in
       [| U.Pipeline.speedup r4 r8; U.Pipeline.speedup r4 r16 |])
@@ -294,7 +294,7 @@ let fig5 =
     (fun ctx ~scale pr ->
       let p = Suite.prepare ctx ~scale pr in
       let run n =
-        Suite.run_conv ctx p
+        Suite.run ctx p
           (variant U.Config.ooo_8wide
              (Printf.sprintf "ooo-regs-%d" n)
              [ ikv "ext_regs" n ])
@@ -320,7 +320,7 @@ let fig6 =
           Suite.prepare ctx ~scale
             ~ext_usable:(min n C.Extalloc.usable_per_class) pr
         in
-        Suite.run_braid ctx p
+        Suite.run ctx p
           (variant U.Config.braid_8wide
              (Printf.sprintf "braid-extregs-%d" n)
              [ ikv "ext_regs" n ])
@@ -348,7 +348,7 @@ let fig7 =
     (fun ctx ~scale pr ->
       let p = Suite.prepare ctx ~scale pr in
       let run (r, w) =
-        Suite.run_braid ctx p
+        Suite.run ctx p
           (variant U.Config.braid_8wide
              (Printf.sprintf "braid-ports-%d-%d" r w)
              [ ikv "rf_read_ports" r; ikv "rf_write_ports" w ])
@@ -371,13 +371,13 @@ let fig8 =
     (fun ctx ~scale pr ->
       let p = Suite.prepare ctx ~scale pr in
       let run n =
-        Suite.run_braid ctx p
+        Suite.run ctx p
           (variant U.Config.braid_8wide
              (Printf.sprintf "braid-bypass-%d" n)
              [ ikv "bypass_per_cycle" n ])
       in
       let base =
-        Suite.run_braid ctx p
+        Suite.run ctx p
           (variant U.Config.braid_8wide "braid-bypass-full"
              [ ikv "bypass_per_cycle" 64 ])
       in
@@ -392,10 +392,10 @@ let braid_sweep ~id ~title ~expect ~cols ~configs =
     ~headline:(List.map (fun c -> ("cfg-" ^ c, c)) cols)
     (fun ctx ~scale pr ->
       let p = Suite.prepare ctx ~scale pr in
-      let base = Suite.run_conv ctx p U.Config.ooo_8wide in
+      let base = Suite.run ctx p U.Config.ooo_8wide in
       Array.of_list
         (List.map
-           (fun cfg -> U.Pipeline.speedup base (Suite.run_braid ctx p cfg))
+           (fun cfg -> U.Pipeline.speedup base (Suite.run ctx p cfg))
            configs))
 
 let fig9 =
@@ -482,15 +482,15 @@ let fig13 =
     bench_job =
       (fun ctx ~scale pr ->
         let p = Suite.prepare ctx ~scale pr in
-        let base = Suite.run_conv ctx p U.Config.ooo_8wide in
+        let base = Suite.run ctx p U.Config.ooo_8wide in
         Array.of_list
           (List.concat_map
              (fun w ->
                let scale_of cfg = U.Config.scale_width cfg w in
-               let io = Suite.run_conv ctx p (scale_of U.Config.in_order_8wide) in
-               let dep = Suite.run_conv ctx p (scale_of U.Config.dep_steer_8wide) in
-               let braid = Suite.run_braid ctx p (scale_of U.Config.braid_8wide) in
-               let ooo = Suite.run_conv ctx p (scale_of U.Config.ooo_8wide) in
+               let io = Suite.run ctx p (scale_of U.Config.in_order_8wide) in
+               let dep = Suite.run ctx p (scale_of U.Config.dep_steer_8wide) in
+               let braid = Suite.run ctx p (scale_of U.Config.braid_8wide) in
+               let ooo = Suite.run ctx p (scale_of U.Config.ooo_8wide) in
                List.map (U.Pipeline.speedup base) [ io; dep; braid; ooo ])
              widths));
     assemble =
@@ -530,14 +530,14 @@ let fig14 =
     ~table_title:"Braid normalised performance at 8 total FUs" ~cols
     (fun ctx ~scale pr ->
       let p = Suite.prepare ctx ~scale pr in
-      let base = Suite.run_braid ctx p U.Config.braid_8wide in
+      let base = Suite.run ctx p U.Config.braid_8wide in
       let a =
-        Suite.run_braid ctx p
+        Suite.run ctx p
           (variant U.Config.braid_8wide "braid-4x2"
              [ ikv "clusters" 4; ikv "fus_per_cluster" 2 ])
       in
       let b =
-        Suite.run_braid ctx p
+        Suite.run ctx p
           (variant U.Config.braid_8wide "braid-8x1"
              [ ikv "clusters" 8; ikv "fus_per_cluster" 1 ])
       in
@@ -578,11 +578,11 @@ let pipeline_ablation =
     (fun ctx ~scale pr ->
       let p = Suite.prepare ctx ~scale pr in
       let deep =
-        Suite.run_braid ctx p
+        Suite.run ctx p
           (variant U.Config.braid_8wide "braid-deep"
              [ ikv "misprediction_penalty" 23 ])
       in
-      let short = Suite.run_braid ctx p U.Config.braid_8wide in
+      let short = Suite.run ctx p U.Config.braid_8wide in
       [| 1.0; U.Pipeline.speedup deep short |])
 
 let split_ablation =
@@ -606,7 +606,7 @@ let split_ablation =
             (fun thr ->
               let p = Suite.prepare ctx ~scale ~max_internal:thr pr in
               ( p,
-                Suite.run_braid ctx p
+                Suite.run ctx p
                   (named (Printf.sprintf "braid-wset-%d" thr) U.Config.braid_8wide) ))
             thresholds
         in
@@ -657,13 +657,13 @@ let spill_ablation =
        competing for registers)"
     ~table_title:"Static spill instructions (loads+stores)" ~cols
     ~headline:[ ("conv@8", "conv@8"); ("braid@8", "braid@8") ]
-    (fun _ctx ~scale pr ->
+    (fun ctx ~scale pr ->
       Array.of_list
         (List.concat_map
            (fun budget ->
-             let virtual_ir, _ = Spec.generate pr ~seed:1 ~scale in
-             let conv = C.Extalloc.allocate ~usable:budget virtual_ir in
-             let braid = C.Transform.run ~ext_usable:budget virtual_ir in
+             let p = Suite.prepare ctx ~scale ~ext_usable:budget pr in
+             let conv = C.Extalloc.allocate ~usable:budget p.Suite.virtual_ir in
+             let braid = p.Suite.braid in
              [
                float_of_int
                  (conv.C.Extalloc.spill_loads + conv.C.Extalloc.spill_stores);
@@ -709,11 +709,11 @@ let complexity_table =
         in
         let ooo =
           U.Complexity.energy_of_run U.Config.ooo_8wide
-            (Suite.run_conv ctx p U.Config.ooo_8wide)
+            (Suite.run ctx p U.Config.ooo_8wide)
         in
         let braid =
           U.Complexity.energy_of_run U.Config.braid_8wide
-            (Suite.run_braid ctx p U.Config.braid_8wide)
+            (Suite.run ctx p U.Config.braid_8wide)
         in
         Array.of_list (fields ooo @ fields braid));
     assemble =
@@ -792,9 +792,9 @@ let beu_ooo_ablation =
     ~variant_col:"ooo-in-beu" ~note:"average gain"
     (fun ctx ~scale pr ->
       let p = Suite.prepare ctx ~scale pr in
-      let base = Suite.run_braid ctx p U.Config.braid_8wide in
+      let base = Suite.run ctx p U.Config.braid_8wide in
       let oooed =
-        Suite.run_braid ctx p
+        Suite.run ctx p
           (variant U.Config.braid_8wide "braid-ooo-beu"
              [ ("beu_out_of_order", "true") ])
       in
@@ -818,12 +818,12 @@ let clustering_ablation =
     ~headline:[ ("2x4+2cyc", "2x4+2cyc"); ("2x4+4cyc", "2x4+4cyc") ]
     (fun ctx ~scale pr ->
       let p = Suite.prepare ctx ~scale pr in
-      let base = Suite.run_braid ctx p U.Config.braid_8wide in
+      let base = Suite.run ctx p U.Config.braid_8wide in
       Array.of_list
         (List.map
            (fun (n, size, lat) ->
              let r =
-               Suite.run_braid ctx p
+               Suite.run ctx p
                  (variant U.Config.braid_8wide ("braid-clu-" ^ n)
                     [ ikv "beu_cluster_size" size; ikv "inter_cluster_latency" lat ])
              in
@@ -847,8 +847,8 @@ let binary_translation =
     ~table_title:"Braid performance: compiled vs translated binary" ~cols
     (fun ctx ~scale pr ->
       let p = Suite.prepare ctx ~scale pr in
-      let base = Suite.run_conv ctx p U.Config.ooo_8wide in
-      let compiled = Suite.run_braid ctx p U.Config.braid_8wide in
+      let base = Suite.run ctx p U.Config.ooo_8wide in
+      let compiled = Suite.run ctx p U.Config.braid_8wide in
       (* braid the already-allocated conventional binary, as the paper's
          profiling + binary-translation tools did *)
       let translated_prog =
@@ -899,19 +899,19 @@ let checkpoint_ablation =
     ~headline:[ ("ooo@2", "ooo@2"); ("braid@2", "braid@2"); ("braid@16", "braid@16") ]
     (fun ctx ~scale pr ->
       let p = Suite.prepare ctx ~scale pr in
-      let ooo_base = Suite.run_conv ctx p U.Config.ooo_8wide in
-      let braid_base = Suite.run_braid ctx p U.Config.braid_8wide in
+      let ooo_base = Suite.run ctx p U.Config.ooo_8wide in
+      let braid_base = Suite.run ctx p U.Config.braid_8wide in
       Array.of_list
         (List.concat_map
            (fun n ->
              let ooo =
-               Suite.run_conv ctx p
+               Suite.run ctx p
                  (variant U.Config.ooo_8wide
                     (Printf.sprintf "ooo-ckpt-%d" n)
                     [ ikv "max_unresolved_branches" n ])
              in
              let braid =
-               Suite.run_braid ctx p
+               Suite.run ctx p
                  (variant U.Config.braid_8wide
                     (Printf.sprintf "braid-ckpt-%d" n)
                     [ ikv "max_unresolved_branches" n ])
@@ -939,9 +939,9 @@ let predictor_ablation =
       ]
     (fun ctx ~scale pr ->
       let p = Suite.prepare ctx ~scale pr in
-      let perceptron = Suite.run_braid ctx p U.Config.braid_8wide in
+      let perceptron = Suite.run ctx p U.Config.braid_8wide in
       let gshare =
-        Suite.run_braid ctx p
+        Suite.run ctx p
           (variant U.Config.braid_8wide "braid-gshare"
              [ ("predictor", "gshare") ])
       in
@@ -970,7 +970,7 @@ let dynamic_braids =
         C.Braid_stats.summarize
           (C.Braid_stats.of_program p.Suite.braid.C.Transform.program)
       in
-      let d = C.Braid_stats.dynamic_of_trace (p.Suite.braid_trace ()) in
+      let d = C.Braid_stats.dynamic_of_trace (Suite.trace ctx p U.Config.Braid_exec) in
       [|
         s.C.Braid_stats.braids_per_block;
         d.C.Braid_stats.dyn_braids_per_block;
@@ -997,9 +997,9 @@ let frontend_ablation =
       [ ("wrong-path", "wrong-path"); ("btb-512", "btb-512"); ("btb-64", "btb-64") ]
     (fun ctx ~scale pr ->
       let p = Suite.prepare ctx ~scale pr in
-      let base = Suite.run_braid ctx p U.Config.braid_8wide in
+      let base = Suite.run ctx p U.Config.braid_8wide in
       let run name kvs =
-        Suite.run_braid ctx p (variant U.Config.braid_8wide name kvs)
+        Suite.run ctx p (variant U.Config.braid_8wide name kvs)
       in
       let wp = run "braid-wrongpath" [ ("model_wrong_path_fetch", "true") ] in
       let btb n = run (Printf.sprintf "braid-btb%d" n) [ ikv "btb_entries" n ] in
@@ -1035,8 +1035,8 @@ let seed_robustness =
           (List.map
              (fun seed ->
                let p = Suite.prepare ctx ~seed ~scale pr in
-               let ooo = Suite.run_conv ctx p U.Config.ooo_8wide in
-               let braid = Suite.run_braid ctx p U.Config.braid_8wide in
+               let ooo = Suite.run ctx p U.Config.ooo_8wide in
+               let braid = Suite.run ctx p U.Config.braid_8wide in
                U.Pipeline.speedup ooo braid)
              seeds));
     assemble =
@@ -1113,6 +1113,6 @@ let counters_report ctx ~scale =
       let obs = Obs.Sink.create () in
       ignore
         (U.Pipeline.run ~obs ~warm_data:p.Suite.warm_data U.Config.braid_8wide
-           (p.Suite.braid_trace ()));
+           (Suite.trace ctx p U.Config.Braid_exec));
       (profile.Spec.name, Obs.Counters.snapshot (Obs.Sink.counters obs)))
     Spec.all

@@ -80,4 +80,4 @@ val counters_report : Suite.ctx -> scale:int -> counters
     observability sink and snapshot each run's counter registry —
     the Fig 6/Fig 7 explanatory metrics (external-file early releases,
     bypass overflows, BEU occupancy, ...). Separate from the memoised
-    {!Suite.run_braid} results, which stay observability-free. *)
+    {!Suite.run} results, which stay observability-free. *)

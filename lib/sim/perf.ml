@@ -52,12 +52,10 @@ let default_benches =
 let is_rv name = String.length name > 3 && String.sub name 0 3 = "rv:"
 
 let cores =
-  [
-    ("in-order", U.Config.in_order_8wide, `Conv);
-    ("ooo", U.Config.ooo_8wide, `Conv);
-    ("braid", U.Config.braid_8wide, `Braid);
-    ("cgooo", U.Config.cgooo_8wide, `Braid);
-  ]
+  [ U.Config.in_order_8wide; U.Config.ooo_8wide; U.Config.braid_8wide;
+    U.Config.cgooo_8wide ]
+
+let core_name (cfg : U.Config.t) = U.Config.Core_kind.to_string cfg.U.Config.kind
 
 let timed reps run =
   (* one untimed warm-up run faults in code and sizes the heap *)
@@ -92,7 +90,7 @@ let interleaved_min ~reps fs =
    (untraced), the interpreter building a full trace, and the compiled
    fast-forward engine — all on the conventional binary. The compiled/
    interpreted ratio is the sampled-simulation fast-forward speedup. *)
-let measure_emu ~reps (p : Suite.prepared) name =
+let measure_emu ~reps ~scale (p : Suite.prepared) name =
   let program = p.Suite.conventional.Braid_core.Extalloc.program in
   let init_mem = p.Suite.init_mem in
   let code = Emulator.Compiled.compile program in
@@ -116,7 +114,7 @@ let measure_emu ~reps (p : Suite.prepared) name =
       {
         bench = "emu:" ^ name;
         core;
-        scale = p.Suite.scale;
+        scale;
         instructions = n;
         cycles = 0;
         reps;
@@ -124,6 +122,30 @@ let measure_emu ~reps (p : Suite.prepared) name =
         sample = None;
       })
     [ "emu-interp"; "emu-interp-traced"; "emu-compiled" ]
+
+(* One row per core on a prepared program, paired with the full result
+   (the sampled rows' reference). The trace comes from the ctx, outside
+   the timed region. *)
+let pipeline_rows ctx ~reps ~bench ~scale (p : Suite.prepared) =
+  List.map
+    (fun (cfg : U.Config.t) ->
+      let trace = Suite.trace ctx p cfg.U.Config.kind in
+      let r, wall_s =
+        timed reps (fun () ->
+            U.Pipeline.run ~warm_data:p.Suite.warm_data cfg trace)
+      in
+      ( r,
+        {
+          bench;
+          core = core_name cfg;
+          scale;
+          instructions = r.U.Pipeline.instructions;
+          cycles = r.U.Pipeline.cycles;
+          reps;
+          wall_s;
+          sample = None;
+        } ))
+    cores
 
 (* An rv: fixture yields six entries: a "frontend" row timing the
    decode+lower pass itself (instructions = reachable RV instructions,
@@ -133,7 +155,7 @@ let measure_emu ~reps (p : Suite.prepared) name =
    translated program. The fixture is fixed-size; entry [scale] is 0. *)
 let rv_emu_max_steps = 4_000_000
 
-let measure_rv ~reps name =
+let measure_rv ctx ~reps name =
   let fixture = String.sub name 3 (String.length name - 3) in
   let img =
     match Braid_rv.Fixtures.image fixture with
@@ -187,69 +209,32 @@ let measure_rv ~reps name =
         [ "rv-interp"; "rv-compiled" ]
     end
   in
-  let program = t.Braid_rv.Translate.program in
-  let init_mem = t.Braid_rv.Translate.init_mem in
-  let conv =
-    (Braid_core.Transform.conventional program).Braid_core.Extalloc.program
+  let p =
+    Suite.prepare_program ctx ~init_mem:t.Braid_rv.Translate.init_mem
+      t.Braid_rv.Translate.program
   in
-  let braided = (Braid_core.Transform.run program).Braid_core.Transform.program in
-  let trace_of p = Option.get (Emulator.run ~init_mem p).Emulator.trace in
-  let conv_trace = trace_of conv and braid_trace = trace_of braided in
-  let warm_data = List.map fst init_mem in
   (frontend :: rvemu)
-  @ List.map
-      (fun (core, cfg, binary) ->
-        let trace =
-          match binary with `Conv -> conv_trace | `Braid -> braid_trace
-        in
-        let r, wall_s =
-          timed reps (fun () -> U.Pipeline.run ~warm_data cfg trace)
-        in
-        {
-          bench = name;
-          core;
-          scale = 0;
-          instructions = r.U.Pipeline.instructions;
-          cycles = r.U.Pipeline.cycles;
-          reps;
-          wall_s;
-          sample = None;
-        })
-      cores
+  @ List.map snd (pipeline_rows ctx ~reps ~bench:name ~scale:0 p)
 
 (* Sampled-simulation rows for one prepared benchmark: the plan (BBV
    profile + clustering) is core-independent and excluded from the timed
    region like trace preparation; each core's row times the per-core
    measurement (fast-forward, functional warm-up, representative windows)
    and carries the IPC error against the full simulation just timed. *)
-let measure_sampled ~reps (p : Suite.prepared) name fulls =
+let measure_sampled ctx ~reps ~scale (p : Suite.prepared) name fulls =
   let spec = Braid_sample.Spec.default in
-  let plan_of program =
-    Braid_sample.Driver.plan ~init_mem:p.Suite.init_mem
-      ~max_steps:(50 * p.Suite.scale) ~spec
-      (Emulator.Compiled.compile program)
-  in
-  let conv_plan =
-    plan_of p.Suite.conventional.Braid_core.Extalloc.program
-  in
-  let braid_plan =
-    plan_of p.Suite.braid.Braid_core.Transform.program
-  in
-  List.map
-    (fun (core, cfg, binary) ->
-      let plan =
-        match binary with `Conv -> conv_plan | `Braid -> braid_plan
-      in
+  List.map2
+    (fun (cfg : U.Config.t) (full : U.Pipeline.result) ->
+      let plan = Suite.plan ctx p ~spec cfg.U.Config.kind in
       let s, wall_s =
         timed reps (fun () ->
             Braid_sample.Driver.measure ~warm_data:p.Suite.warm_data plan cfg)
       in
-      let full : U.Pipeline.result = List.assoc core fulls in
       let r = s.Braid_sample.Driver.result in
       {
         bench = "sample:" ^ name;
-        core;
-        scale = p.Suite.scale;
+        core = core_name cfg;
+        scale;
         instructions = r.U.Pipeline.instructions;
         cycles = r.U.Pipeline.cycles;
         reps;
@@ -262,46 +247,21 @@ let measure_sampled ~reps (p : Suite.prepared) name fulls =
               ipc_error = Braid_sample.Driver.error_vs ~full s;
             };
       })
-    cores
+    cores fulls
 
 let measure ctx ~scale ~reps ~benches =
   if reps <= 0 then invalid_arg "Perf.measure: reps must be positive";
   List.concat_map
     (fun name ->
-      if is_rv name then measure_rv ~reps name
+      if is_rv name then measure_rv ctx ~reps name
       else
-        let pr = Spec.find name in
-        let p = Suite.prepare ctx ~scale pr in
-        let fulls = ref [] in
-        let pipeline_entries =
-          List.map
-            (fun (core, cfg, binary) ->
-              let trace =
-                (match binary with
-                | `Conv -> p.Suite.conv_trace
-                | `Braid -> p.Suite.braid_trace)
-                  ()
-              in
-              let run () =
-                U.Pipeline.run ~warm_data:p.Suite.warm_data cfg trace
-              in
-              let r, wall_s = timed reps run in
-              fulls := (core, r) :: !fulls;
-              {
-                bench = name;
-                core;
-                scale = p.Suite.scale;
-                instructions = r.U.Pipeline.instructions;
-                cycles = r.U.Pipeline.cycles;
-                reps;
-                wall_s;
-                sample = None;
-              })
-            cores
+        let p = Suite.prepare ctx ~scale (Spec.find name) in
+        let fulls, rows =
+          List.split (pipeline_rows ctx ~reps ~bench:name ~scale p)
         in
-        pipeline_entries
-        @ measure_emu ~reps p name
-        @ measure_sampled ~reps p name !fulls)
+        rows
+        @ measure_emu ~reps ~scale p name
+        @ measure_sampled ctx ~reps ~scale p name fulls)
     benches
 
 (* --- BENCH_*.json --- *)

@@ -1,14 +1,13 @@
+module Config = Braid_uarch.Config
+
 type prepared = {
-  profile : Braid_workload.Spec.profile;
   init_mem : (int * int64) list;
   warm_data : int list;
   virtual_ir : Program.t;
   conventional : Braid_core.Extalloc.result;
   braid : Braid_core.Transform.report;
-  scale : int;
+  max_steps : int;
   key : string;
-  conv_trace : unit -> Trace.t;
-  braid_trace : unit -> Trace.t;
 }
 
 let default_scale =
@@ -24,11 +23,21 @@ let default_scale =
             s 12_000;
           12_000)
 
+(* A program and its memory image with a digest of both: the blocks and
+   entry, not the program's memoised base table, which a run fills in. A
+   generated workload is digested once, when it is generated. *)
+type source = {
+  program : Program.t;
+  image : (int * int64) list;
+  digest : string;
+}
+
 type 'v slot = Ready of 'v | In_flight
 
 type ctx = {
   lock : Mutex.t;
   done_ : Condition.t;
+  workloads : (string, source slot) Hashtbl.t;
   prepared : (string, prepared slot) Hashtbl.t;
   traces : (string, Trace.t slot) Hashtbl.t;
   runs : (string, Braid_uarch.Pipeline.result slot) Hashtbl.t;
@@ -41,6 +50,7 @@ let create_ctx ?sample () =
   {
     lock = Mutex.create ();
     done_ = Condition.create ();
+    workloads = Hashtbl.create 64;
     prepared = Hashtbl.create 64;
     traces = Hashtbl.create 64;
     runs = Hashtbl.create 256;
@@ -55,10 +65,10 @@ let sampling ctx = ctx.sample
    *outside* the lock (simulations are long and must overlap across
    domains). A domain that finds the key in-flight blocks on the condition
    variable rather than duplicating the work; every caller shares one
-   physical value. Nesting only flows one way (runs force traces, samples
-   force plans; never the reverse), so waiting cannot deadlock. If the
-   computation raises, the in-flight marker is withdrawn and a waiter
-   takes over. *)
+   physical value. Nesting only flows one way (preparations force
+   workloads, runs force traces, samples force plans; never the reverse),
+   so waiting cannot deadlock. If the computation raises, the in-flight
+   marker is withdrawn and a waiter takes over. *)
 let rec memoise : 'v. ctx -> (string, 'v slot) Hashtbl.t -> string -> (unit -> 'v) -> 'v =
   fun ctx tbl key compute ->
   Mutex.lock ctx.lock;
@@ -88,93 +98,92 @@ let rec memoise : 'v. ctx -> (string, 'v slot) Hashtbl.t -> string -> (unit -> '
           Mutex.unlock ctx.lock;
           Printexc.raise_with_backtrace e bt)
 
-let trace_of ~init_mem ~scale program =
-  let out = Emulator.run ~max_steps:(50 * scale) ~trace:true ~init_mem program in
-  match out.Emulator.trace with Some t -> t | None -> assert false
+let source program image =
+  let contents = (program.Program.blocks, program.Program.entry, image) in
+  {
+    program;
+    image;
+    digest =
+      Digest.to_hex
+        (Digest.string (Marshal.to_string contents [ Marshal.No_sharing ]));
+  }
 
-let prepare ctx ?(seed = 1) ?(scale = default_scale)
-    ?(max_internal = Reg.num_internal)
-    ?(ext_usable = Braid_core.Extalloc.usable_per_class)
-    (profile : Braid_workload.Spec.profile) =
+let prepare_source ctx ~max_steps ?(max_internal = Reg.num_internal)
+    ?(ext_usable = Braid_core.Extalloc.usable_per_class) src =
+  let ext_usable = min ext_usable Braid_core.Extalloc.usable_per_class in
   let key =
-    Printf.sprintf "%s/%d/%d/%d/%d" profile.Braid_workload.Spec.name seed scale
-      max_internal ext_usable
+    Printf.sprintf "%s/%d/%d/%d" src.digest max_steps max_internal ext_usable
   in
   memoise ctx ctx.prepared key (fun () ->
-      let virtual_ir, init_mem =
-        Braid_workload.Spec.generate profile ~seed ~scale
-      in
-      let conventional = Braid_core.Transform.conventional virtual_ir in
-      let braid =
-        Braid_core.Transform.run ~max_internal
-          ~ext_usable:(min ext_usable Braid_core.Extalloc.usable_per_class)
-          virtual_ir
-      in
-      (* Traces are memoised thunks rather than eager fields: a sampled
-         run never touches them, and full tracing is the expensive part
-         of preparation (an order of magnitude slower than untraced
-         emulation), so sampled contexts skip that cost entirely. *)
-      let lazy_trace label program =
-        let tkey = key ^ "/" ^ label in
-        fun () ->
-          memoise ctx ctx.traces tkey (fun () -> trace_of ~init_mem ~scale program)
-      in
       {
-        profile;
-        init_mem;
-        warm_data = List.map fst init_mem;
-        virtual_ir;
-        conventional;
-        braid;
-        scale;
+        init_mem = src.image;
+        warm_data = List.map fst src.image;
+        virtual_ir = src.program;
+        conventional = Braid_core.Transform.conventional src.program;
+        braid = Braid_core.Transform.run ~max_internal ~ext_usable src.program;
+        max_steps;
         key;
-        conv_trace =
-          lazy_trace "conv" conventional.Braid_core.Extalloc.program;
-        braid_trace = lazy_trace "braid" braid.Braid_core.Transform.program;
       })
 
-let binary_of ~which p =
-  match which with
+let prepare_program ctx ~init_mem program =
+  prepare_source ctx ~max_steps:1_000_000 (source program init_mem)
+
+let prepare ctx ?(seed = 1) ?(scale = default_scale) ?max_internal ?ext_usable
+    (profile : Braid_workload.Spec.profile) =
+  let src =
+    memoise ctx ctx.workloads
+      (Printf.sprintf "%s/%d/%d" profile.Braid_workload.Spec.name seed scale)
+      (fun () ->
+        let program, image = Braid_workload.Spec.generate profile ~seed ~scale in
+        source program image)
+  in
+  prepare_source ctx ~max_steps:(50 * scale) ?max_internal ?ext_usable src
+
+let binary p kind =
+  match Config.Core_kind.binary kind with
   | `Conv -> p.conventional.Braid_core.Extalloc.program
   | `Braid -> p.braid.Braid_core.Transform.program
 
-(* The plan (fast-forward + BBV + clustering) is core-independent: one
-   per (preparation, binary, spec) serves every configuration. *)
-let sample_plan ctx ~label ~which p (spec : Braid_sample.Spec.t) =
-  let key =
-    Printf.sprintf "plan/%s/%s/%s" p.key label (Braid_sample.Spec.digest spec)
-  in
-  memoise ctx ctx.plans key (fun () ->
-      let code = Emulator.Compiled.compile (binary_of ~which p) in
-      Braid_sample.Driver.plan ~init_mem:p.init_mem
-        ~max_steps:(50 * p.scale) ~spec code)
+let binary_key p kind = p.key ^ "/" ^ Config.Core_kind.binary_name kind
 
-let sample_on ctx ~label ~which p ~spec (cfg : Braid_uarch.Config.t) =
+(* Traces are memoised apart from the preparation: a sampled run never
+   forces one, and full tracing is the expensive part of preparation (an
+   order of magnitude slower than untraced emulation). *)
+let trace ctx p kind =
+  memoise ctx ctx.traces (binary_key p kind) (fun () ->
+      let out =
+        Emulator.run ~max_steps:p.max_steps ~trace:true ~init_mem:p.init_mem
+          (binary p kind)
+      in
+      Option.get out.Emulator.trace)
+
+let config_key (cfg : Config.t) = cfg.Config.name ^ "/" ^ Config.digest cfg
+
+(* The plan (fast-forward + BBV + clustering) is core-independent: one
+   per (binary, spec) serves every configuration. *)
+let plan ctx p ~spec kind =
+  let key = binary_key p kind ^ "/" ^ Braid_sample.Spec.digest spec in
+  memoise ctx ctx.plans key (fun () ->
+      Braid_sample.Driver.plan ~init_mem:p.init_mem ~max_steps:p.max_steps
+        ~spec
+        (Emulator.Compiled.compile (binary p kind)))
+
+let sample ctx p ~spec (cfg : Config.t) =
+  let kind = cfg.Config.kind in
   let key =
-    Printf.sprintf "sample/%s/%s/%s/%s" cfg.Braid_uarch.Config.name p.key label
-      (Braid_sample.Spec.digest spec)
+    String.concat "/"
+      [ binary_key p kind; config_key cfg; Braid_sample.Spec.digest spec ]
   in
   memoise ctx ctx.samples key (fun () ->
-      let plan = sample_plan ctx ~label ~which p spec in
-      Braid_sample.Driver.measure ~warm_data:p.warm_data plan cfg)
+      Braid_sample.Driver.measure ~warm_data:p.warm_data (plan ctx p ~spec kind)
+        cfg)
 
-let sample_conv ctx p ~spec cfg = sample_on ctx ~label:"conv" ~which:`Conv p ~spec cfg
-let sample_braid ctx p ~spec cfg = sample_on ctx ~label:"braid" ~which:`Braid p ~spec cfg
-
-let run_on ctx ~label ~which p (cfg : Braid_uarch.Config.t) =
+let run ctx p (cfg : Config.t) =
   match ctx.sample with
-  | Some spec ->
-      (sample_on ctx ~label ~which p ~spec cfg).Braid_sample.Driver.result
+  | Some spec -> (sample ctx p ~spec cfg).Braid_sample.Driver.result
   | None ->
-      let trace =
-        (match which with `Conv -> p.conv_trace | `Braid -> p.braid_trace) ()
-      in
-      let key =
-        Printf.sprintf "%s/%s/%s/%d" cfg.Braid_uarch.Config.name
-          p.profile.Braid_workload.Spec.name label (Trace.length trace)
-      in
-      memoise ctx ctx.runs key (fun () ->
-          Braid_uarch.Pipeline.run ~warm_data:p.warm_data cfg trace)
-
-let run_conv ctx p cfg = run_on ctx ~label:"conv" ~which:`Conv p cfg
-let run_braid ctx p cfg = run_on ctx ~label:"braid" ~which:`Braid p cfg
+      let kind = cfg.Config.kind in
+      memoise ctx ctx.runs
+        (binary_key p kind ^ "/" ^ config_key cfg)
+        (fun () ->
+          Braid_uarch.Pipeline.run ~warm_data:p.warm_data cfg (trace ctx p kind))

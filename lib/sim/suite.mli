@@ -1,52 +1,57 @@
-(** Prepared benchmarks: generated program, both compiled binaries
-    (conventional and braid), and their execution traces — memoised in an
-    explicit {!ctx}, since every experiment sweeps the same 26 programs.
+(** Prepared programs: a program and its memory image, both compiled
+    binaries (conventional and braid), their execution traces and the
+    simulations run on them — memoised in an explicit {!ctx}, since every
+    experiment sweeps the same 26 programs.
+
+    This is the one preparation path. Workloads come from
+    {!Braid_workload.Spec.generate} through {!prepare}; a program from any
+    other frontend (RV32IM) enters through {!prepare_program}. The
+    binary a configuration runs follows from its kind
+    ({!Braid_uarch.Config.Core_kind.binary}).
 
     A [ctx] is safe to share across domains: lookups and insertions are
     mutex-guarded, and a cache miss runs the (deterministic) computation
-    outside the lock so simulations overlap. Two domains racing on the same
-    key may duplicate work, but every caller observes one canonical value.
+    outside the lock so simulations overlap. A second domain asking for a
+    key in flight waits for it, so every caller observes one canonical
+    value.
 
-    A ctx optionally carries a sampling spec: {!run_conv} / {!run_braid}
-    on a sampling ctx return SimPoint-style sampled results extrapolated
-    to full-run shape instead of simulating every instruction, and full
-    traces are never materialised unless something forces them.
-
-    [scale] targets the dynamic trace length (the MinneSPEC-style reduced
-    run); [ext_usable] recompiles the braid binary with a restricted
-    external register budget (Fig 6); [max_internal] varies the braid
-    working-set bound (splitting-threshold ablation). *)
+    A ctx optionally carries a sampling spec: {!run} on a sampling ctx
+    returns SimPoint-style sampled results extrapolated to full-run shape
+    instead of simulating every instruction, and full traces are never
+    materialised unless something forces them. *)
 
 type prepared = {
-  profile : Braid_workload.Spec.profile;
   init_mem : (int * int64) list;
   warm_data : int list;  (** addresses of the initial data image *)
   virtual_ir : Program.t;
   conventional : Braid_core.Extalloc.result;
   braid : Braid_core.Transform.report;
-  scale : int;  (** the dynamic-length target this was prepared at *)
-  key : string;  (** memoisation key of this preparation *)
-  conv_trace : unit -> Trace.t;
-      (** full execution trace of the conventional binary; computed on
-          first call, memoised in the ctx (thread-safe). Sampled runs
-          never force it. *)
-  braid_trace : unit -> Trace.t;  (** likewise for the braid binary *)
+  max_steps : int;  (** dynamic-instruction bound of every emulation *)
+  key : string;
+      (** content key: a digest of the program, the memory image and the
+          preparation parameters *)
 }
 
 type ctx
-(** Memoisation context: prepared benchmarks plus simulation results.
-    Create one per experiment batch and thread it through explicitly —
-    there is no global mutable cache. *)
+(** Memoisation context: workloads, preparations, traces and simulation
+    results. Create one per experiment batch (or per request) and thread
+    it through explicitly — there is no global mutable cache. *)
 
 val create_ctx : ?sample:Braid_sample.Spec.t -> unit -> ctx
-(** With [sample], every {!run_conv} / {!run_braid} call on this ctx uses
-    sampled simulation with that spec. *)
+(** With [sample], every {!run} call on this ctx uses sampled simulation
+    with that spec. *)
 
 val sampling : ctx -> Braid_sample.Spec.t option
 
 val default_scale : int
 (** 12_000 unless the BRAID_SCALE environment variable overrides it.
     A malformed override is reported on stderr and ignored. *)
+
+val prepare_program :
+  ctx -> init_mem:(int * int64) list -> Program.t -> prepared
+(** Compiles a virtual-register program both ways with the default
+    budgets; every trace and sampling plan of it is bounded by
+    {!Emulator.run}'s own 1_000_000 steps. Memoised on the content key. *)
 
 val prepare :
   ctx ->
@@ -56,34 +61,38 @@ val prepare :
   ?ext_usable:int ->
   Braid_workload.Spec.profile ->
   prepared
-(** Memoised on all parameters. *)
+(** Generates the benchmark (memoised on name, seed and [scale], the
+    dynamic-length target of the MinneSPEC-style reduced run) and
+    prepares it with [max_steps = 50 * scale]. *)
 
-val run_conv :
+val trace : ctx -> prepared -> Braid_uarch.Config.core_kind -> Trace.t
+(** Full execution trace of the binary a core of this kind runs;
+    memoised per binary, so every kind sharing a binary shares the
+    trace. *)
+
+val run :
   ctx -> prepared -> Braid_uarch.Config.t -> Braid_uarch.Pipeline.result
-(** Runs the conventional binary's trace (in-order / dep-steer / OoO
-    machines). Memoised on the configuration name, so configuration
-    variants must carry distinct names. On a sampling ctx this is the
-    sampled estimate's extrapolated result ({!Braid_sample.Driver.t}). *)
+(** Times the configuration on its kind's binary. On a sampling ctx this
+    is the sampled estimate's extrapolated result
+    ({!Braid_sample.Driver.t}). Memoised on the preparation's key, the
+    binary, and the configuration's name and {!Braid_uarch.Config.digest};
+    a hit never forces the trace. *)
 
-val run_braid :
-  ctx -> prepared -> Braid_uarch.Config.t -> Braid_uarch.Pipeline.result
-(** Runs the braid binary's trace (braid machines). Memoised likewise. *)
+val plan :
+  ctx ->
+  prepared ->
+  spec:Braid_sample.Spec.t ->
+  Braid_uarch.Config.core_kind ->
+  Braid_sample.Driver.plan
+(** The core-independent sampling plan (fast-forward, interval profile,
+    clustering) of the kind's binary; memoised per binary and spec. *)
 
-val sample_conv :
+val sample :
   ctx ->
   prepared ->
   spec:Braid_sample.Spec.t ->
   Braid_uarch.Config.t ->
   Braid_sample.Driver.t
-(** Sampled simulation of the conventional binary with full detail
-    (representatives, weights, per-interval IPCs) regardless of the ctx's
-    own sampling mode. The core-independent plan and the per-core
-    measurement are both memoised. *)
-
-val sample_braid :
-  ctx ->
-  prepared ->
-  spec:Braid_sample.Spec.t ->
-  Braid_uarch.Config.t ->
-  Braid_sample.Driver.t
-(** Likewise for the braid binary. *)
+(** Sampled simulation with full detail (representatives, weights,
+    per-interval IPCs) regardless of the ctx's own sampling mode.
+    Memoised like {!run}, plus the spec. *)

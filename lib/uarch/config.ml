@@ -256,10 +256,14 @@ module Core_kind = struct
         Error
           (Printf.sprintf "unknown core kind %S (expected %s)" s
              (String.concat ", " names))
-end
 
-let kind_to_string = Core_kind.to_string
-let kind_of_string = Core_kind.of_string
+  let binary = function
+    | Braid_exec | Cgooo -> `Braid
+    | In_order | Dep_steer | Ooo -> `Conv
+
+  let binary_name k =
+    match binary k with `Braid -> "braid" | `Conv -> "conv"
+end
 
 let predictor_to_string = function
   | Perceptron -> "perceptron"

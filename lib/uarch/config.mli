@@ -148,13 +148,16 @@ module Core_kind : sig
   val of_string : string -> (t, string) result
   (** Inverse of {!to_string} (case-insensitive, trimmed); the error
       lists every valid name. *)
+
+  val binary : t -> [ `Conv | `Braid ]
+  (** The binary a kind runs: the braid-compiled one on braid and CG-OoO
+      cores, the conventional one on in-order, dep-steer and OoO cores.
+      The one place this choice is made. *)
+
+  val binary_name : t -> string
+  (** ["conv"] or ["braid"]: {!binary} as it appears in cache and memo
+      keys. *)
 end
-
-val kind_to_string : core_kind -> string
-(** [Core_kind.to_string]. *)
-
-val kind_of_string : string -> (core_kind, string) result
-(** [Core_kind.of_string]. *)
 
 val predictor_to_string : predictor_kind -> string
 val predictor_of_string : string -> (predictor_kind, string) result

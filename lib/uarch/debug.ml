@@ -107,11 +107,11 @@ let on_fetch t ~cycle (e : Trace.event) =
       let int_reads = internal_reads ins in
       if e.Trace.int_src_reads <> int_reads then
         bad "bits.T" "internal source count disagrees with the T bits";
-      (match s.cfg.Config.kind with
-      | Config.Braid_exec | Config.Cgooo ->
+      (match Config.Core_kind.binary s.cfg.Config.kind with
+      | `Braid ->
           if e.Trace.braid_start && e.Trace.braid_id < 0 then
             bad "bits.S" "S bit set on an instruction outside any braid"
-      | _ ->
+      | `Conv ->
           if e.Trace.writes_int || int_reads > 0 then
             bad "bits.internal"
               "internal register reached a conventional (non-braid) binary")

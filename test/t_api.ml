@@ -489,6 +489,37 @@ let test_served_byte_identity () =
       | Ok _ -> Alcotest.fail "served: unexpected payload"
       | Error m -> Alcotest.fail m)
 
+(* A daemon's env outlives its requests: an answer from a warm env must
+   be byte-identical to a fresh one-shot env's, also when an earlier
+   request simulated the same benchmark under another seed. *)
+let test_warm_env_seed_isolation () =
+  let sweep seed =
+    Req.Sweep
+      {
+        s_preset = U.Config.Braid_exec;
+        s_axes = [ "clusters=4,8" ];
+        s_mode = Braid_dse.Grid.Cartesian;
+        s_benches = [ "art" ];
+        s_seed = seed;
+        s_scale = 4000;
+        s_jobs = 1;
+        s_cache_dir = None;
+        s_sample = None;
+      }
+  in
+  let answer env req =
+    match Api.Exec.exec env req with
+    | Ok (Resp.Sweep_done { text; doc; _ }) -> (text, doc)
+    | Ok _ -> Alcotest.fail "unexpected payload"
+    | Error m -> Alcotest.fail m
+  in
+  let warm = Api.Exec.one_shot_env () in
+  ignore (answer warm (sweep 1));
+  let text, doc = answer warm (sweep 2) in
+  let fresh_text, fresh_doc = answer (Api.Exec.one_shot_env ()) (sweep 2) in
+  Alcotest.(check string) "seed 2 text: warm env = fresh env" fresh_text text;
+  Alcotest.(check string) "seed 2 document: warm env = fresh env" fresh_doc doc
+
 (* Progress frames stream while the job runs: monotonically increasing
    completions up to the advertised total. *)
 let test_progress_stream () =
@@ -665,6 +696,8 @@ let suite =
         test_admission_bound_and_cancel;
       Alcotest.test_case "served output byte-identical" `Slow
         test_served_byte_identity;
+      Alcotest.test_case "warm env isolates seeds" `Quick
+        test_warm_env_seed_isolation;
       Alcotest.test_case "progress stream" `Slow test_progress_stream;
       Alcotest.test_case "concurrent clients" `Slow test_concurrent_clients;
       Alcotest.test_case "warm sweep zero simulations" `Slow

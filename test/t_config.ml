@@ -165,7 +165,7 @@ let test_of_json_errors () =
 let test_kind_strings () =
   List.iter
     (fun k ->
-      match Config.kind_of_string (Config.kind_to_string k) with
+      match Config.Core_kind.of_string (Config.Core_kind.to_string k) with
       | Ok k' -> Alcotest.(check bool) "kind round-trips" true (k = k')
       | Error msg -> Alcotest.fail msg)
     [

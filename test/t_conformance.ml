@@ -16,7 +16,6 @@
    monitor must name cgooo.block-order) and a cgooo commit stream (the
    oracle must name commit-order). *)
 
-module C = Braid_core
 module U = Braid_uarch
 module Spec = Braid_workload.Spec
 module Ck = Braid_check
@@ -29,12 +28,8 @@ module Resp = Braid_api.Response
 let kinds = U.Config.Core_kind.all
 let kind_name = U.Config.Core_kind.to_string
 
-let binary_for kind program =
-  match kind with
-  | U.Config.Braid_exec | U.Config.Cgooo ->
-      (C.Transform.run program).C.Transform.program
-  | U.Config.In_order | U.Config.Dep_steer | U.Config.Ooo ->
-      (C.Transform.conventional program).C.Extalloc.program
+(* kinds that share a binary share its traces *)
+let suite_ctx = lazy (Braid_sim.Suite.create_ctx ())
 
 let count_of obs name =
   match Obs.Counters.find (Obs.Sink.counters obs) name with
@@ -47,17 +42,17 @@ let commit_stream_battery kind () =
   List.iter
     (fun (p : Spec.profile) ->
       let ctx = Printf.sprintf "%s/%s" p.Spec.name (kind_name kind) in
-      let program, init_mem = Spec.generate p ~seed:1 ~scale:1200 in
-      let binary = binary_for kind program in
-      let out = Emulator.run ~max_steps:100_000 ~init_mem binary in
+      let suite = Lazy.force suite_ctx in
+      let prepared = Braid_sim.Suite.prepare suite ~seed:1 ~scale:1200 p in
+      let trace = Braid_sim.Suite.trace suite prepared kind in
       Alcotest.(check bool) (ctx ^ ": emulator halted") true
-        (out.Emulator.stop = Trace.Halted);
-      let trace = Option.get out.Emulator.trace in
+        (trace.Trace.stop = Trace.Halted);
       let cfg = U.Config.preset_of_kind kind in
       let dbg = U.Debug.create ~invariants:true cfg in
       let obs = Obs.Sink.create () in
       let r =
-        U.Pipeline.run ~obs ~dbg ~warm_data:(List.map fst init_mem) cfg trace
+        U.Pipeline.run ~obs ~dbg ~warm_data:prepared.Braid_sim.Suite.warm_data
+          cfg trace
       in
       let n = Trace.length trace in
       Alcotest.(check int) (ctx ^ ": instructions") n r.U.Pipeline.instructions;

@@ -158,15 +158,11 @@ let test_complexity_describe () =
     (Astring_contains.contains s "braid-8")
 
 let activity_run name cfg =
-  let prog, init_mem = Spec.generate (Spec.find name) ~seed:1 ~scale:1500 in
-  let binary =
-    match cfg.U.Config.kind with
-    | U.Config.Braid_exec | U.Config.Cgooo ->
-        (C.Transform.run prog).C.Transform.program
-    | _ -> (C.Transform.conventional prog).C.Extalloc.program
-  in
-  let out = Emulator.run ~max_steps:100_000 ~init_mem binary in
-  U.Pipeline.run ~warm_data:(List.map fst init_mem) cfg (Option.get out.Emulator.trace)
+  let ctx = Braid_sim.Suite.create_ctx () in
+  let p = Braid_sim.Suite.prepare ctx ~seed:1 ~scale:1500 (Spec.find name) in
+  Alcotest.(check bool) (name ^ " halts within the step bound") true
+    ((Braid_sim.Suite.trace ctx p cfg.U.Config.kind).Trace.stop = Trace.Halted);
+  Braid_sim.Suite.run ctx p cfg
 
 let test_activity_counts () =
   let ooo = activity_run "mgrid" U.Config.ooo_8wide in
@@ -287,7 +283,8 @@ let test_btb_misses_cost () =
 let test_dynamic_stats () =
   let ctx = Braid_sim.Suite.create_ctx () in
   let p = Braid_sim.Suite.prepare ctx ~scale:1500 (Spec.find "gcc") in
-  let d = C.Braid_stats.dynamic_of_trace (p.Braid_sim.Suite.braid_trace ()) in
+  let trace = Braid_sim.Suite.trace ctx p U.Config.Braid_exec in
+  let d = C.Braid_stats.dynamic_of_trace trace in
   Alcotest.(check bool) "instances positive" true (d.C.Braid_stats.instances > 0);
   Alcotest.(check bool) "size >= 1" true (d.C.Braid_stats.dyn_avg_size >= 1.0);
   Alcotest.(check bool) "multi size >= 2" true (d.C.Braid_stats.dyn_avg_size_multi >= 2.0);
@@ -298,7 +295,7 @@ let test_dynamic_stats () =
     float_of_int d.C.Braid_stats.instances *. d.C.Braid_stats.dyn_avg_size
   in
   Alcotest.(check bool) "sizes sum to trace length" true
-    (abs_float (total -. float_of_int (Trace.length (p.Braid_sim.Suite.braid_trace ()))) < 1.0)
+    (abs_float (total -. float_of_int (Trace.length trace)) < 1.0)
 
 let suite =
   ( "extensions",

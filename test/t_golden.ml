@@ -134,11 +134,12 @@ let check_one bench core instrs cycles () =
   let ctx = Lazy.force ctx in
   let p = Suite.prepare ctx ~scale:1200 (Braid_workload.Spec.find bench) in
   let r =
-    match core with
-    | In_order -> Suite.run_conv ctx p U.Config.in_order_8wide
-    | Ooo -> Suite.run_conv ctx p U.Config.ooo_8wide
-    | Braid -> Suite.run_braid ctx p U.Config.braid_8wide
-    | Cgooo -> Suite.run_braid ctx p U.Config.cgooo_8wide
+    Suite.run ctx p
+      (match core with
+      | In_order -> U.Config.in_order_8wide
+      | Ooo -> U.Config.ooo_8wide
+      | Braid -> U.Config.braid_8wide
+      | Cgooo -> U.Config.cgooo_8wide)
   in
   Alcotest.(check int) "instructions" instrs r.U.Pipeline.instructions;
   Alcotest.(check int) "cycles" cycles r.U.Pipeline.cycles;

@@ -15,18 +15,13 @@ let prepare bench = Suite.prepare (Lazy.force ctx) (W.Spec.find bench)
 
 let cores =
   [
-    ("in-order", `Conv U.Config.in_order_8wide);
-    ("ooo", `Conv U.Config.ooo_8wide);
-    ("braid", `Braid U.Config.braid_8wide);
+    ("in-order", U.Config.in_order_8wide);
+    ("ooo", U.Config.ooo_8wide);
+    ("braid", U.Config.braid_8wide);
   ]
 
-let full_and_sampled ~spec p = function
-  | `Conv cfg ->
-      (Suite.run_conv (Lazy.force ctx) p cfg,
-       Suite.sample_conv (Lazy.force ctx) p ~spec cfg)
-  | `Braid cfg ->
-      (Suite.run_braid (Lazy.force ctx) p cfg,
-       Suite.sample_braid (Lazy.force ctx) p ~spec cfg)
+let full_and_sampled ~spec p cfg =
+  (Suite.run (Lazy.force ctx) p cfg, Suite.sample (Lazy.force ctx) p ~spec cfg)
 
 (* --- the acceptance bound: default spec, three benches, three cores --- *)
 
@@ -76,11 +71,11 @@ let test_bbv_totals () =
   let spec = Sample.Spec.default in
   let profile =
     Sample.Bbv.profile ~init_mem:p.Suite.init_mem
-      ~max_steps:(50 * p.Suite.scale) ~spec
+      ~max_steps:p.Suite.max_steps ~spec
       (Emulator.Compiled.compile program)
   in
   let out =
-    Emulator.run ~trace:false ~max_steps:(50 * p.Suite.scale)
+    Emulator.run ~trace:false ~max_steps:p.Suite.max_steps
       ~init_mem:p.Suite.init_mem program
   in
   Alcotest.(check int) "total = interpreted dynamic count"
@@ -106,7 +101,7 @@ let test_kmeans_deterministic () =
   let program = p.Suite.conventional.Braid_core.Extalloc.program in
   let profile =
     Sample.Bbv.profile ~init_mem:p.Suite.init_mem
-      ~max_steps:(50 * p.Suite.scale) ~spec:Sample.Spec.default
+      ~max_steps:p.Suite.max_steps ~spec:Sample.Spec.default
       (Emulator.Compiled.compile program)
   in
   let points =
@@ -135,7 +130,7 @@ let test_driver_deterministic () =
   let spec = Sample.Spec.default in
   let run_in ctx =
     let p = Suite.prepare ctx (W.Spec.find "art") in
-    Suite.sample_conv ctx p ~spec U.Config.in_order_8wide
+    Suite.sample ctx p ~spec U.Config.in_order_8wide
   in
   let cold1 = run_in (Suite.create_ctx ()) in
   let warm_ctx = Suite.create_ctx () in
@@ -190,7 +185,7 @@ let test_compiled_identity () =
       let p = Suite.prepare (Lazy.force ctx) ~scale:1200 profile in
       List.iter
         (fun (label, program) ->
-          let max_steps = 50 * p.Suite.scale in
+          let max_steps = p.Suite.max_steps in
           let i =
             Emulator.run ~trace:false ~max_steps ~init_mem:p.Suite.init_mem
               program
@@ -221,7 +216,7 @@ let test_compiled_identity () =
 
 let test_measure_from_validation () =
   let p = prepare "mcf" in
-  let trace = p.Suite.conv_trace () in
+  let trace = Suite.trace (Lazy.force ctx) p U.Config.Ooo in
   let n = Array.length trace.Trace.events in
   let run mf = ignore (U.Pipeline.run ~measure_from:mf U.Config.ooo_8wide trace) in
   Alcotest.check_raises "negative"

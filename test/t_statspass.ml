@@ -174,10 +174,30 @@ let test_experiment_unknown () =
      with Not_found -> true)
 
 let test_suite_memoisation () =
-  let ctx = Braid_sim.Suite.create_ctx () in
-  let p1 = Braid_sim.Suite.prepare ctx ~scale:1200 (Spec.find "gcc") in
-  let p2 = Braid_sim.Suite.prepare ctx ~scale:1200 (Spec.find "gcc") in
-  Alcotest.(check bool) "same prepared value" true (p1 == p2)
+  let module Suite = Braid_sim.Suite in
+  let ctx = Suite.create_ctx () in
+  let p1 = Suite.prepare ctx ~scale:1200 (Spec.find "gcc") in
+  let p2 = Suite.prepare ctx ~scale:1200 (Spec.find "gcc") in
+  Alcotest.(check bool) "same prepared value" true (p1 == p2);
+  (* results are keyed by content: a later seed on a shared ctx never
+     reads an earlier seed's result (art's seeds give equal-length
+     traces at this scale) *)
+  let art = Spec.find "art" in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun (cfg : Braid_uarch.Config.t) ->
+          let cycles ctx =
+            (Suite.run ctx (Suite.prepare ctx ~seed ~scale:4000 art) cfg)
+              .Braid_uarch.Pipeline.cycles
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "art seed %d on %s: shared ctx = fresh ctx" seed
+               cfg.Braid_uarch.Config.name)
+            (cycles (Suite.create_ctx ()))
+            (cycles ctx))
+        [ Braid_uarch.Config.ooo_8wide; Braid_uarch.Config.braid_8wide ])
+    [ 1; 2; 3 ]
 
 let suite =
   ( "stats-experiments",
