@@ -15,10 +15,10 @@ let connect addr =
           oc = Unix.out_channel_of_descr fd;
         }
 
-let close t =
-  close_out_noerr t.oc;
-  close_in_noerr t.ic;
-  try Unix.close t.fd with Unix.Unix_error _ -> ()
+(* Both channels share [fd]: closing the output channel closes it, once.
+   A second close could hit a descriptor another thread has just been
+   given the same number for. *)
+let close t = close_out_noerr t.oc
 
 let request ?on_progress t req =
   match Wire.write t.oc (Request.to_json req) with

@@ -300,7 +300,7 @@ let exec_trace (t : Request.trace) =
       trace
   in
   let events = Obs.Tracer.events tracer in
-  let label uid = Disasm.instr trace.Trace.events.(uid).Trace.instr in
+  let label uid = Disasm.instr (Trace.instr trace uid) in
   let b = Buffer.create 4096 in
   let pf fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   pf "%s on %s: %d instructions, %d cycles, IPC %.3f\n" profile.W.Spec.name

@@ -16,7 +16,16 @@
 
    Graceful shutdown drains everything already admitted (each queued
    request still gets its terminal frame), then unblocks the reader
-   threads by shutting their sockets down and joins them. *)
+   threads by shutting their sockets down and joins them.
+
+   Descriptor ownership: a connection's fd belongs to its reader thread,
+   which closes it exactly once, when it exits, and takes the connection
+   out of [conns] at the same time. Its two channels share the one fd, so
+   only the output channel is closed; closing both would close the fd
+   number twice, and the second close could hit a descriptor [accept] had
+   already handed to a newer client. Every other use of the fd — frame
+   writes, the shutdown in [run] — holds the connection's write mutex and
+   checks [c_alive] first, so none can touch a closed (or reused) fd. *)
 
 module Obs = Braid_obs
 module Sim = Braid_sim
@@ -29,7 +38,7 @@ type conn = {
   c_oc : out_channel;
   c_wmutex : Mutex.t;  (* worker domains write progress frames *)
   c_client : int;
-  mutable c_alive : bool;
+  mutable c_alive : bool;  (* false once the reader closed the fd *)
 }
 
 type pending = { p_id : int; p_request : Request.t; p_conn : conn }
@@ -41,7 +50,7 @@ type t = {
   mutex : Mutex.t;
   cond : Condition.t;  (* wakes the executor when work is admitted *)
   queue : pending Admission.t;
-  mutable conns : (conn * Thread.t) list;
+  mutable conns : (conn * Thread.t) list;  (* open connections only *)
   mutable next_client : int;
   mutable next_id : int;
   mutable active : (int * string) option;
@@ -206,9 +215,12 @@ let reader_loop t conn =
   in
   Fun.protect
     ~finally:(fun () ->
-      Mutex.protect conn.c_wmutex (fun () -> conn.c_alive <- false);
-      close_out_noerr conn.c_oc;
-      close_in_noerr conn.c_ic)
+      Mutex.protect conn.c_wmutex (fun () ->
+          conn.c_alive <- false;
+          (* closes the fd; the input channel is never read again *)
+          close_out_noerr conn.c_oc);
+      Mutex.protect t.mutex (fun () ->
+          t.conns <- List.filter (fun (c, _) -> c != conn) t.conns))
     loop
 
 let executor_loop t =
@@ -282,8 +294,10 @@ let run t =
                       c_alive = true;
                     })
               in
-              let thread = Thread.create (reader_loop t) conn in
+              (* registered before the reader can run its exit path, which
+                 needs [t.mutex] to deregister *)
               Mutex.protect t.mutex (fun () ->
+                  let thread = Thread.create (reader_loop t) conn in
                   t.conns <- (conn, thread) :: t.conns);
               accept_loop ())
   in
@@ -297,7 +311,9 @@ let run t =
   let conns = Mutex.protect t.mutex (fun () -> t.conns) in
   List.iter
     (fun (conn, _) ->
-      try Unix.shutdown conn.c_fd Unix.SHUTDOWN_ALL
-      with Unix.Unix_error _ -> ())
+      Mutex.protect conn.c_wmutex (fun () ->
+          if conn.c_alive then
+            try Unix.shutdown conn.c_fd Unix.SHUTDOWN_ALL
+            with Unix.Unix_error _ -> ()))
     conns;
   List.iter (fun (_, thread) -> Thread.join thread) conns

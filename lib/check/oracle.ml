@@ -28,7 +28,7 @@ let default_cores =
 
 (* Fuzz cases are a few thousand dynamic instructions; a case that runs
    this long is a generator bug worth reporting, not waiting out. *)
-let max_steps = 200_000
+let default_max_steps = 200_000
 
 let mem_diff expected got =
   let rec first = function
@@ -47,8 +47,8 @@ let ext_reg_of_id id =
   if id < Reg.num_ext_per_class then Reg.ext Reg.Cint id
   else Reg.ext Reg.Cfp (id - Reg.num_ext_per_class)
 
-let check ?(invariants = true) ?(cores = default_cores) ?inject_commit program
-    ~init_mem =
+let check ?(invariants = true) ?(cores = default_cores) ?inject_commit
+    ?(max_steps = default_max_steps) program ~init_mem =
   let divs = ref [] in
   let add core kind detail = divs := { core; kind; detail } :: !divs in
   let ref_out = Emulator.run ~max_steps ~trace:false ~init_mem program in
@@ -123,10 +123,9 @@ let check ?(invariants = true) ?(cores = default_cores) ?inject_commit program
                !first_bad);
         (* architectural replay of the committed stream *)
         if Array.for_all (fun u -> u >= 0 && u < n) committed then begin
-          let events = trace.Trace.events in
           let st = Emulator.init_state ~init_mem () in
           Array.iter
-            (fun u -> Emulator.exec_instr st events.(u).Trace.instr)
+            (fun u -> Emulator.exec_instr st (Trace.instr trace u))
             committed;
           let bin_st = out.Emulator.state in
           let reg_divs = ref 0 in

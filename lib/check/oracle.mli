@@ -47,6 +47,7 @@ val check :
   ?invariants:bool ->
   ?cores:Braid_uarch.Config.core_kind list ->
   ?inject_commit:(int array -> int array) ->
+  ?max_steps:int ->
   Program.t ->
   init_mem:(int * int64) list ->
   report
@@ -55,7 +56,8 @@ val check :
     checks; commit streams are always recorded. [inject_commit] perturbs
     the observed committed-uid sequence of every core before the oracle
     examines it — a fault-injection hook proving the oracle actually
-    catches commit-order bugs (see the test suite). *)
+    catches commit-order bugs (see the test suite). [max_steps] bounds
+    every emulation (default 200_000, sized for fuzz cases). *)
 
 val pp_divergence : Format.formatter -> divergence -> unit
 val render : report -> string

@@ -9,7 +9,10 @@
     core. Frontend findings:
 
     - ["rv-stop"] / ["ir-stop"]: an execution did not reach a clean halt
-      (reference fault or fuel, IR step budget);
+      (reference fault, IR step budget). A reference that exhausts its
+      step budget yields exactly one ["rv-stop"] finding marked
+      inconclusive, and nothing is compared: the two runs would stop at
+      different points of the program;
     - ["reg"]: a final xN differs between reference and translated runs;
     - ["memory"]: the final memory images differ. *)
 
@@ -33,9 +36,9 @@ val check :
   ?max_steps:int ->
   Braid_rv.Image.t ->
   (report, Braid_rv.Translate.error) result
-(** [max_steps] bounds the reference run (default 1_000_000; the IR run
-    gets 16x that to absorb lowering expansion). Returns [Error] only
-    when the image does not translate. *)
+(** [max_steps] bounds the reference run (default 1_000_000; the IR runs,
+    here and in {!Oracle.check}, get 16x that to absorb lowering
+    expansion). Returns [Error] only when the image does not translate. *)
 
 val render : report -> string
 (** Multi-line human-readable summary (frontend findings first, then the

@@ -16,17 +16,17 @@ let of_trace (trace : Trace.t) =
     Histogram.add fanout v.reads;
     if v.reads > 0 then Histogram.add lifetime (v.last_read - v.born)
   in
-  Array.iter
-    (fun (e : Trace.event) ->
-      List.iter
+  for u = 0 to Trace.length trace - 1 do
+    let ins = Trace.instr trace u in
+    List.iter
         (fun r ->
           if Regset.tracked r then
             match Hashtbl.find_opt live r with
             | Some v ->
                 v.reads <- v.reads + 1;
-                v.last_read <- e.Trace.uid
+                v.last_read <- u
             | None -> ())
-        (Instr.uses e.Trace.instr);
+        (Instr.uses ins);
       List.iter
         (fun r ->
           if Regset.tracked r then begin
@@ -35,10 +35,10 @@ let of_trace (trace : Trace.t) =
                 flush v;
                 Hashtbl.remove live r
             | None -> ());
-            Hashtbl.replace live r { born = e.Trace.uid; reads = 0; last_read = e.Trace.uid }
+            Hashtbl.replace live r { born = u; reads = 0; last_read = u }
           end)
-        (Instr.defs e.Trace.instr))
-    trace.Trace.events;
+        (Instr.defs ins)
+  done;
   Hashtbl.iter (fun _ v -> flush v) live;
   { values = !values; fanout; lifetime }
 

@@ -153,40 +153,19 @@ let reg_slot (r : Reg.t) =
       num_fixed_slots + (2 * r.Reg.idx)
       + (match r.Reg.cls with Reg.Cint -> 0 | Reg.Cfp -> 1)
 
-(* One bounded execution episode starting from an arbitrary (block, offset)
-   location in an existing state. [run] starts it at the program entry with a
-   fresh state; the compiled fast path (module [Compiled] below) uses it to
-   trace a window from the middle of a fast-forwarded execution, so sampled
-   simulation shares the interpreter's exact semantics and event layout.
-   Event uids (and the dependence table) restart at 0 for each episode:
-   a mid-run window is a self-contained trace whose dependences on
-   pre-window producers are dropped, which is precisely what a timing model
-   fed only that window must see. *)
-type episode = {
-  x_events : Trace.event list;  (* newest first *)
-  x_stop : Trace.stop_reason;
-  x_steps : int;
-  x_stores : int;
-  x_next : (int * int) option;  (* resume location; [None] once halted *)
-}
-
-let exec_from st program ~max_steps ~trace ~start_block ~start_offset =
-  let bases = Program.base_table program in
-  let pc_of blk off = 4 * (bases.(blk) + off) in
-  (* last writer uid per register slot; -1 = no dynamic writer yet *)
-  let last_writer =
-    Array.make
-      (num_fixed_slots + (2 * (Program.max_virt_index program + 1)))
-      (-1)
-  in
-  let events = ref [] in
-  let uid = ref 0 in
+(* The interpreter: the semantic oracle, untraced. It decodes every
+   instruction afresh and allocates per step, which keeps it the plainest
+   statement of the ISA's semantics; traces and fast-forwarding come from
+   the compiled engine below, which must agree with it in every
+   architectural observable. *)
+let interpret st program ~max_steps =
+  let steps = ref 0 in
   let store_count = ref 0 in
   let stop = ref Trace.Steps_exhausted in
-  let block = ref start_block in
-  let offset = ref start_offset in
+  let block = ref program.Program.entry in
+  let offset = ref 0 in
   let running = ref true in
-  while !running && !uid < max_steps do
+  while !running && !steps < max_steps do
     let b = program.Program.blocks.(!block) in
     if !offset >= Array.length b.Program.instrs then begin
       (* empty tail: unconditional fallthrough *)
@@ -200,125 +179,28 @@ let exec_from st program ~max_steps ~trace ~start_block ~start_offset =
       let ins = b.Program.instrs.(!offset) in
       let res = exec_op st ins in
       if res.was_store then incr store_count;
-      let written = written_of ins res in
-      List.iter (fun (reg, v) -> write_reg st reg v) written;
-      (* Determine the next dynamic location. *)
-      let next_loc =
-        if res.halt then None
-        else
-          match res.transfer with
-          | Some target -> Some (target, 0)
-          | None ->
-              if !offset + 1 < Array.length b.Program.instrs then
-                Some (!block, !offset + 1)
-              else (
-                match b.Program.fallthrough with
-                | Some ft -> Some (ft, 0)
-                | None -> failwith "Emulator: missing fallthrough")
-      in
-      if trace then begin
-        let deps =
-          List.filter_map
-            (fun (reg : Reg.t) ->
-              if Reg.is_zero reg then None
-              else
-                let w = last_writer.(reg_slot reg) in
-                if w < 0 then None
-                else Some (w, reg.Reg.space = Reg.Intern))
-            (Instr.uses ins)
-        in
-        let deps = List.sort_uniq compare deps in
-        let is_cond_branch =
-          match ins.Instr.op with Op.Branch _ -> true | _ -> false
-        in
-        let is_jump = match ins.Instr.op with Op.Jump _ -> true | _ -> false in
-        let taken =
-          if is_cond_branch then res.transfer <> None else is_jump
-        in
-        let pc = pc_of !block !offset in
-        let next_pc =
-          match next_loc with
-          | Some (nb, noff) -> pc_of nb noff
-          | None -> pc
-        in
-        let ev =
-          {
-            Trace.uid = !uid;
-            pc;
-            block_id = !block;
-            offset = !offset;
-            instr = ins;
-            deps = Array.of_list deps;
-            addr = res.mem_addr;
-            is_load = Op.is_load ins.Instr.op;
-            is_store = res.was_store;
-            is_cond_branch;
-            is_jump;
-            taken;
-            next_pc;
-            latency = Op.latency ins.Instr.op;
-            writes_ext = Instr.writes_external ins;
-            writes_int = Instr.writes_internal ins;
-            ext_src_reads = Instr.reads_external_count ins;
-            int_src_reads =
-              List.length
-                (List.filter
-                   (fun (r : Reg.t) -> r.Reg.space = Reg.Intern)
-                   (Instr.uses ins));
-            braid_id = ins.Instr.annot.Instr.braid_id;
-            braid_start = ins.Instr.annot.Instr.braid_start;
-            faulting = res.fault;
-          }
-        in
-        events := ev :: !events;
-        List.iter
-          (fun ((reg : Reg.t), _) ->
-            if not (Reg.is_zero reg) then last_writer.(reg_slot reg) <- !uid)
-          written
-      end;
-      incr uid;
-      match next_loc with
-      | None ->
-          stop := Trace.Halted;
-          running := false
-      | Some (nb, noff) ->
-          block := nb;
-          offset := noff
+      List.iter (fun (reg, v) -> write_reg st reg v) (written_of ins res);
+      incr steps;
+      if res.halt then begin
+        stop := Trace.Halted;
+        running := false
+      end
+      else
+        match res.transfer with
+        | Some target ->
+            block := target;
+            offset := 0
+        | None ->
+            if !offset + 1 < Array.length b.Program.instrs then incr offset
+            else (
+              match b.Program.fallthrough with
+              | Some ft ->
+                  block := ft;
+                  offset := 0
+              | None -> failwith "Emulator: missing fallthrough")
     end
   done;
-  {
-    x_events = !events;
-    x_stop = !stop;
-    x_steps = !uid;
-    x_stores = !store_count;
-    x_next = (if !running then Some (!block, !offset) else None);
-  }
-
-let run ?(max_steps = 1_000_000) ?(trace = true) ?(init_mem = []) program =
-  let st = init_state ~init_mem () in
-  let x =
-    exec_from st program ~max_steps ~trace ~start_block:program.Program.entry
-      ~start_offset:0
-  in
-  let trace_v =
-    if trace then
-      Some
-        {
-          Trace.events = Array.of_list (List.rev x.x_events);
-          stop = x.x_stop;
-          program;
-          warm_lines = None;
-          tables = None;
-        }
-    else None
-  in
-  {
-    trace = trace_v;
-    stop = x.x_stop;
-    dynamic_count = x.x_steps;
-    store_count = x.x_stores;
-    state = st;
-  }
+  (!stop, !steps, !store_count)
 
 let read_ext st (r : Reg.t) =
   match r.Reg.space with
@@ -357,14 +239,19 @@ module Compiled = struct
   external ba_set : regs -> int -> int64 -> unit = "%caml_ba_unsafe_set_1"
 
   (* Flat instruction index = block_base + offset = pc/4, exactly the
-     global instruction index [Program.base_table] defines, so flat ips and
-     trace pcs interconvert for free. Two extra "trap" slots past the end
-     hold closures that raise the interpreter's control-flow failures. *)
+     global instruction index [Program.base_table] defines, so flat ips,
+     trace static indices and pcs interconvert for free. Two extra "trap"
+     slots past the end hold closures that raise the interpreter's
+     control-flow failures.
+
+     The [src_*]/[dst_*]/[probe_*] tables serve the tracer alone: per ip,
+     the register slots it reads (CSR, [slot lsl 1 lor via_internal]) and
+     writes, and which operand to sample before the step for the entry's
+     address or dynamic bits. They are sized to cover the trap slots
+     (empty ranges, no probe). *)
   type code = {
     program : Program.t;
-    flat : Instr.t array;
-    block_of : int array;  (* sized n+2; the trap slots map to block 0 *)
-    offset_of : int array;
+    static : Trace.static;  (* its [s_instr] is the flat instruction array *)
     next_ip : int array;  (* fallthrough successor (flat or trap ip) *)
     target_ip : int array;  (* branch/jump target entry ip; -1 when none *)
     block_entry : int array;  (* first executed ip when entering a block *)
@@ -373,7 +260,31 @@ module Compiled = struct
     nslots : int;
     n_imm : int;
     n_dup : int;
+    src_off : int array;
+    src : int array;
+    dst_off : int array;
+    dst : int array;
+    probe : int array;  (* probe_* *)
+    probe_slot : int array;
+    probe_imm : int array;  (* memory offset *)
+    probe_cond : Op.cond array;
   }
+
+  let probe_none = 0
+  let probe_mem = 1
+  let probe_branch = 2
+  let probe_jump = 3
+  let probe_fdiv = 4
+
+  (* Concatenates per-ip lists into CSR (offsets, values), [m] ips. *)
+  let csr m (lists : int list array) =
+    let off = Array.make (m + 1) 0 in
+    for i = 0 to m - 1 do
+      off.(i + 1) <- off.(i) + List.length lists.(i)
+    done;
+    let v = Array.make off.(m) 0 in
+    Array.iteri (fun i l -> List.iteri (fun j x -> v.(off.(i) + j) <- x) l) lists;
+    (off, v)
 
   let compile program =
     let bases = Program.base_table program in
@@ -398,41 +309,76 @@ module Compiled = struct
       go b0 0
     in
     let block_entry = Array.init nb entry_of in
-    let flat = Array.make n (Instr.make Op.Halt) in
-    let block_of = Array.make (n + 2) 0 in
-    let offset_of = Array.make n 0 in
     let next_ip = Array.make n trap_missing in
     let target_ip = Array.make n (-1) in
     let dup_slot = Array.make n (-1) in
+    let srcs = Array.make (n + 2) [] and dsts = Array.make (n + 2) [] in
+    let probe = Array.make (n + 2) probe_none in
+    let probe_slot = Array.make (n + 2) 0 in
+    let probe_imm = Array.make (n + 2) 0 in
+    let probe_cond = Array.make (n + 2) Op.Eq in
     let n_imm = ref 0 in
     let n_dup = ref 0 in
     Program.iter_instrs
       (fun blk off ins ->
         let ip = bases.(blk.Program.id) + off in
-        flat.(ip) <- ins;
-        block_of.(ip) <- blk.Program.id;
-        offset_of.(ip) <- off;
+        let op = ins.Instr.op in
         next_ip.(ip) <-
           (if off + 1 < Array.length blk.Program.instrs then ip + 1
            else
              match blk.Program.fallthrough with
              | Some ft -> block_entry.(ft)
              | None -> trap_missing);
+        (* the registers a step reads and writes, as [exec_op] and
+           [written_of] define them: every non-zero source, and every
+           non-zero destination — the ext_dup duplicate only when the
+           operation itself writes a value *)
+        srcs.(ip) <-
+          List.filter_map
+            (fun (r : Reg.t) ->
+              if Reg.is_zero r then None
+              else
+                Some ((reg_slot r lsl 1) lor if r.Reg.space = Reg.Intern then 1 else 0))
+            (Instr.uses ins);
+        let defs = Op.defs op in
+        let written =
+          match ins.Instr.annot.Instr.ext_dup with
+          | Some du when defs <> [] -> defs @ [ du ]
+          | _ -> defs
+        in
+        dsts.(ip) <-
+          List.filter_map
+            (fun r -> if Reg.is_zero r then None else Some (reg_slot r))
+            written;
         (match ins.Instr.annot.Instr.ext_dup with
-        | Some _ when Op.defs ins.Instr.op <> [] ->
+        | Some _ when defs <> [] ->
             dup_slot.(ip) <- n + 2 + !n_dup;
             incr n_dup
         | _ -> ());
-        match ins.Instr.op with
-        | Op.Branch (_, _, l) | Op.Jump l -> target_ip.(ip) <- block_entry.(l)
+        match op with
+        | Op.Load (_, base, o, _) | Op.Store (_, base, o, _) ->
+            probe.(ip) <- probe_mem;
+            probe_slot.(ip) <- reg_slot base;
+            probe_imm.(ip) <- o
+        | Op.Branch (c, r, l) ->
+            target_ip.(ip) <- block_entry.(l);
+            probe.(ip) <- probe_branch;
+            probe_slot.(ip) <- reg_slot r;
+            probe_cond.(ip) <- c
+        | Op.Jump l ->
+            target_ip.(ip) <- block_entry.(l);
+            probe.(ip) <- probe_jump
+        | Op.Fbin (Op.Fdiv, _, _, b) ->
+            probe.(ip) <- probe_fdiv;
+            probe_slot.(ip) <- reg_slot b
         | Op.Ibini _ -> incr n_imm
         | _ -> ())
       program;
+    let src_off, src = csr (n + 2) srcs in
+    let dst_off, dst = csr (n + 2) dsts in
     {
       program;
-      flat;
-      block_of;
-      offset_of;
+      static = Trace.static_of program;
       next_ip;
       target_ip;
       block_entry;
@@ -442,6 +388,14 @@ module Compiled = struct
       nslots = num_fixed_slots + (2 * (Program.max_virt_index program + 1));
       n_imm = !n_imm;
       n_dup = !n_dup;
+      src_off;
+      src;
+      dst_off;
+      dst;
+      probe;
+      probe_slot;
+      probe_imm;
+      probe_cond;
     }
 
   let num_blocks code = Array.length code.program.Program.blocks
@@ -854,7 +808,8 @@ module Compiled = struct
   }
 
   let start ?(init_mem = []) ?image code =
-    let n = Array.length code.flat in
+    let flat = code.static.Trace.s_instr in
+    let n = Array.length flat in
     let regs =
       Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout
         (code.nslots + 1 + code.n_imm)
@@ -884,14 +839,14 @@ module Compiled = struct
       let aux = code.dup_slot.(ip) in
       let next = if aux >= 0 then aux else code.next_ip.(ip) in
       step.(ip) <-
-        make_step regs mem stores scratch alloc_imm step stop code.flat.(ip)
+        make_step regs mem stores scratch alloc_imm step stop flat.(ip)
           ~ip ~next ~target:code.target_ip.(ip);
       if aux >= 0 then begin
         (* the (I and E) duplicate destination reads back the just-written
            primary slot, which written_of mirrors in the interpreter; the
            copy lives in an auxiliary chain slot that consumes no fuel, so
            the main closure and the copy together count as one step *)
-        let ins = code.flat.(ip) in
+        let ins = flat.(ip) in
         match (ins.Instr.annot.Instr.ext_dup, Op.defs ins.Instr.op) with
         | Some du, d :: _ ->
             let slot r = if Reg.is_zero r then scratch else reg_slot r in
@@ -930,12 +885,16 @@ module Compiled = struct
      path, which the once-per-program profiling pass can afford. *)
   let advance_bbv run ~fuel ~counts =
     if fuel < 0 then invalid_arg "Compiled.advance_bbv: negative fuel";
-    let step = run.step and block_of = run.code.block_of and stop = run.stop in
+    let step = run.step and block_of = run.code.static.Trace.s_block in
+    let stop = run.stop in
     let ip = ref run.ip in
     let n = ref 0 in
     while !n < fuel && !ip >= 0 do
-      let b = Array.unsafe_get block_of !ip in
-      counts.(b) <- counts.(b) + 1;
+      (* a trap ip belongs to no block; its step raises below *)
+      if !ip < Array.length block_of then begin
+        let b = Array.unsafe_get block_of !ip in
+        counts.(b) <- counts.(b) + 1
+      end;
       ignore ((Array.unsafe_get step !ip) 1 : int);
       ip := !stop;
       incr n
@@ -972,74 +931,164 @@ module Compiled = struct
       mem = run.mem;
     }
 
-  let absorb run (st : state) =
-    let regs = run.regs in
-    for i = 0 to Reg.num_ext_per_class - 1 do
-      (* slot 31 is the zero register: the interpreter never writes
-         st.ext_int.(31), so this writes back its invariant 0 *)
-      ba_set regs (reg_slot (Reg.ext Reg.Cint i)) st.ext_int.(i);
-      ba_set regs (reg_slot (Reg.ext Reg.Cfp i)) st.ext_fp.(i)
-    done;
-    for i = 0 to Reg.num_internal - 1 do
-      ba_set regs (reg_slot (Reg.intern i)) st.intern.(i)
-    done;
-    for i = 0 to Program.max_virt_index run.code.program do
-      ba_set regs
-        (num_fixed_slots + (2 * i))
-        (read_reg st (Reg.virt Reg.Cint i));
-      ba_set regs
-        (num_fixed_slots + (2 * i) + 1)
-        (read_reg st (Reg.virt Reg.Cfp i))
-    done
+  (* Storage for the producer list, whose length is only known at the
+     end: chunks of doubling size (up to 64k), so taking the contents is
+     one blit per chunk and an entry is written twice at most — never the
+     ~4x allocation of grow-by-doubling plus a trim. *)
+  type chunks = {
+    mutable full : int array list;  (* newest first *)
+    mutable cur : int array;
+    mutable pos : int;
+  }
 
+  let chunks () = { full = []; cur = Array.make 256 0; pos = 0 }
+
+  let push c v =
+    if c.pos = Array.length c.cur then begin
+      c.full <- c.cur :: c.full;
+      c.cur <- Array.make (min (2 * Array.length c.cur) 65536) 0;
+      c.pos <- 0
+    end;
+    Array.unsafe_set c.cur c.pos v;
+    c.pos <- c.pos + 1
+
+  let contents c =
+    let len = List.fold_left (fun acc a -> acc + Array.length a) c.pos c.full in
+    let out = Array.make len 0 in
+    let at =
+      List.fold_left
+        (fun at a ->
+          Array.blit a 0 out at (Array.length a);
+          at + Array.length a)
+        0 (List.rev c.full)
+    in
+    Array.blit c.cur 0 out at c.pos;
+    out
+
+  (* Per-entry columns are sized for the whole window up front: a window
+     runs its full [max_steps] unless the program halts inside it (and
+     [run] counts its steps first), and at this allocation volume the
+     first-touch page faults of a grown-and-trimmed copy cost more than
+     the tracing itself. *)
+  let trim a len = if Array.length a = len then a else Array.sub a 0 len
+
+  (* The one producer of traces. Each step samples what the timing models
+     need but the chain does not expose — a memory op's address, a
+     branch's outcome, an FP divide's fault — from the operands before the
+     instruction's closure runs, then runs exactly that closure
+     ([fuel = 1]) and resolves the instruction's register producers
+     through a last-writer table. Every other fact about the entry is
+     static and stays in the code's table. *)
   let trace_window run ~max_steps =
     let code = run.code in
-    (* a run parked on a trap slot raises the interpreter's failure now *)
-    if run.ip >= Array.length code.flat then
-      ignore (run.step.(run.ip) 1 : int);
-    if run.ip < 0 then
-      {
-        Trace.events = [||];
-        stop = Trace.Halted;
-        program = code.program;
-        warm_lines = None;
-        tables = None;
-      }
-    else begin
-      let st = state_of run in
-      let x =
-        exec_from st code.program ~max_steps ~trace:true
-          ~start_block:code.block_of.(run.ip)
-          ~start_offset:code.offset_of.(run.ip)
-      in
-      absorb run st;
-      run.steps <- run.steps + x.x_steps;
-      run.stores := !(run.stores) + x.x_stores;
-      run.ip <-
-        (match x.x_next with
-        | None -> -1
-        | Some (b, off) ->
-            if off = 0 then code.block_entry.(b)
-            else (Program.base_table code.program).(b) + off);
-      let events = Array.of_list (List.rev x.x_events) in
+    let st = code.static in
+    let s_flags = st.Trace.s_flags and s_braid = st.Trace.s_braid in
+    let regs = run.regs and step = run.step and stop = run.stop in
+    let src_off = code.src_off and src = code.src in
+    let dst_off = code.dst_off and dst = code.dst in
+    let probe = code.probe and probe_slot = code.probe_slot in
+    (* last writer uid per register slot; -1 = none yet. Fresh per window:
+       dependences on pre-window producers are dropped, which is what a
+       timing model fed only the window must see. *)
+    let last_writer = Array.make (code.nslots + 1) (-1) in
+    let pending = Array.make 4 0 in
+    let cap = max 0 max_steps in
+    let sidx = Array.make cap 0 and addrs = Array.make cap 0 in
+    let dep_off = Array.make (cap + 1) 0 in
+    let bits = Bytes.make cap '\000' in
+    let dep_uid = chunks () and dep_via = Buffer.create 256 in
+    let ndeps = ref 0 in
+    let ip = ref run.ip in
+    let uid = ref 0 in
+    while !uid < max_steps && !ip >= 0 do
+      let i = !ip in
+      let addr = ref (-1) and b = ref 0 in
+      let p = Array.unsafe_get probe i in
+      if p = probe_mem then
+        addr := Int64.to_int (ba_get regs probe_slot.(i)) + code.probe_imm.(i)
+      else if p = probe_branch then begin
+        (* Op.eval_cond, inlined: an int64 argument to a call is boxed *)
+        let c = Int64.compare (ba_get regs probe_slot.(i)) 0L in
+        let taken =
+          match code.probe_cond.(i) with
+          | Op.Eq -> c = 0
+          | Op.Ne -> c <> 0
+          | Op.Lt -> c < 0
+          | Op.Ge -> c >= 0
+          | Op.Le -> c <= 0
+          | Op.Gt -> c > 0
+        in
+        if taken then b := Trace.bit_taken
+      end
+      else if p = probe_jump then b := Trace.bit_taken
+      else if p = probe_fdiv then begin
+        if Int64.float_of_bits (ba_get regs probe_slot.(i)) = 0.0 then
+          b := Trace.bit_fault
+      end;
+      ignore ((Array.unsafe_get step i) 1 : int);
+      let u = !uid in
       (* A window may open mid-braid; the braid core only accepts an
-         instruction stream whose first braid event claims a BEU, so the
-         leading event is promoted to a braid start — the tail of the
+         instruction stream whose first braid entry claims a BEU, so the
+         leading entry is promoted to a braid start — the tail of the
          cut-off braid instance is timed as a (short) instance of its
          own. *)
-      if Array.length events > 0 then begin
-        let e0 = events.(0) in
-        if e0.Trace.braid_id >= 0 && not e0.Trace.braid_start then
-          events.(0) <- { e0 with Trace.braid_start = true }
-      end;
-      {
-        Trace.events;
-        stop = x.x_stop;
-        program = code.program;
-        warm_lines = None;
-        tables = None;
-      }
-    end
+      if
+        s_flags.(i) land Trace.flag_braid_start <> 0
+        || (u = 0 && s_braid.(i) >= 0)
+      then b := !b lor Trace.bit_braid_start;
+      Array.unsafe_set sidx u i;
+      Array.unsafe_set addrs u !addr;
+      Bytes.unsafe_set bits u (Char.unsafe_chr !b);
+      (* producers, in ascending (uid, via) order without duplicates:
+         [pending] holds [uid lsl 1 lor via] keys, at most one per source *)
+      let np = ref 0 in
+      for k = src_off.(i) to src_off.(i + 1) - 1 do
+        let s = src.(k) in
+        let w = last_writer.(s lsr 1) in
+        if w >= 0 then begin
+          let key = (w lsl 1) lor (s land 1) in
+          let j = ref !np in
+          while !j > 0 && pending.(!j - 1) > key do
+            decr j
+          done;
+          if !j = 0 || pending.(!j - 1) <> key then begin
+            for m = !np downto !j + 1 do
+              pending.(m) <- pending.(m - 1)
+            done;
+            pending.(!j) <- key;
+            incr np
+          end
+        end
+      done;
+      for j = 0 to !np - 1 do
+        push dep_uid (pending.(j) lsr 1);
+        Buffer.add_char dep_via (if pending.(j) land 1 = 1 then '\001' else '\000')
+      done;
+      ndeps := !ndeps + !np;
+      Array.unsafe_set dep_off (u + 1) !ndeps;
+      for k = dst_off.(i) to dst_off.(i + 1) - 1 do
+        last_writer.(dst.(k)) <- u
+      done;
+      incr uid;
+      ip := !stop
+    done;
+    let n = !uid in
+    run.ip <- !ip;
+    run.steps <- run.steps + n;
+    {
+      Trace.program = code.program;
+      static = st;
+      sidx = trim sidx n;
+      addr = trim addrs n;
+      bits = (if n = cap then bits else Bytes.sub bits 0 n);
+      dep_off = trim dep_off (n + 1);
+      dep_uid = contents dep_uid;
+      dep_via = Buffer.to_bytes dep_via;
+      next_ip = !ip;
+      stop = (if !ip < 0 then Trace.Halted else Trace.Steps_exhausted);
+      warm_lines = None;
+      tables = None;
+    }
 
   type snapshot = {
     s_regs : int64 array;
@@ -1080,3 +1129,28 @@ module Compiled = struct
       state = state_of run;
     }
 end
+
+let run ?(max_steps = 1_000_000) ?(trace = true) ?(init_mem = []) program =
+  if trace then begin
+    let code = Compiled.compile program in
+    (* counting the steps first (untraced, an order of magnitude cheaper
+       than tracing) lets the trace allocate its columns at their exact
+       size *)
+    let steps =
+      Compiled.advance (Compiled.start ~init_mem code) ~fuel:(max 0 max_steps)
+    in
+    let r = Compiled.start ~init_mem code in
+    let t = Compiled.trace_window r ~max_steps:steps in
+    {
+      trace = Some t;
+      stop = t.Trace.stop;
+      dynamic_count = Compiled.steps r;
+      store_count = Compiled.store_count r;
+      state = Compiled.state r;
+    }
+  end
+  else begin
+    let st = init_state ~init_mem () in
+    let stop, steps, stores = interpret st program ~max_steps in
+    { trace = None; stop; dynamic_count = steps; store_count = stores; state = st }
+  end

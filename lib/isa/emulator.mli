@@ -33,10 +33,13 @@ val run :
   outcome
 (** Executes from the entry block. [max_steps] bounds the dynamic
     instruction count (default 1_000_000). When [trace] is true (default),
-    the outcome carries the full dynamic trace. Arithmetic faults
-    (FP divide by zero) write zero to the destination, mark the event as
-    [faulting], and continue — the microarchitectural exception-mode cost is
-    modeled by the timing simulators, not here. *)
+    the program runs on the compiled engine and the outcome carries its
+    full dynamic trace ({!Compiled.trace_window} from the entry); when
+    false, it runs on the interpreter, the semantic oracle the compiled
+    engine must agree with. Arithmetic faults (FP divide by zero) write
+    zero to the destination, mark the trace entry as faulting, and
+    continue — the microarchitectural exception-mode cost is modeled by
+    the timing simulators, not here. *)
 
 val init_state : ?init_mem:(int * int64) list -> unit -> state
 (** A fresh architectural state (all registers zero) with the given data
@@ -81,9 +84,9 @@ val memory_fingerprint : state -> int64
     of magnitude higher instruction throughput. This is the fast-forward
     engine of sampled simulation: [advance_bbv] additionally accumulates
     per-basic-block execution counts for interval profiling, and
-    [trace_window] hands control to the interpreter's tracer for a bounded
-    window starting at the run's current position (sharing its state), so
-    a measured window carries exactly the events a full trace would. *)
+    [trace_window] — the one producer of {!Trace.t} values — records a
+    bounded window from the run's current position, so a measured window
+    carries exactly the entries a full trace would. *)
 module Compiled : sig
   type code
   (** A pre-decoded program; reusable across many runs. *)
@@ -115,12 +118,15 @@ module Compiled : sig
       {!num_blocks} entries. *)
 
   val trace_window : run -> max_steps:int -> Trace.t
-  (** Run up to [max_steps] instructions through the interpreter's tracer
-      from the current position, advancing the run. The window is a
-      self-contained trace: event uids restart at 0 and dependences on
-      pre-window producers are dropped (a timing model fed only the window
-      sees exactly this). Its [stop] is [Halted] iff the program ended
-      inside the window. *)
+  (** Run up to [max_steps] instructions from the current position,
+      advancing the run, and record them as a trace. The window is
+      self-contained: uids restart at 0 and dependences on pre-window
+      producers are dropped (a timing model fed only the window sees
+      exactly this), and its first braid entry counts as a braid start
+      even when the window opens mid-braid. Its [stop] is [Halted] iff
+      the program ended inside the window (or before it). Storage for
+      [max_steps] entries is allocated up front: pass the window's
+      intended length, not a loose bound. *)
 
   val halted : run -> bool
   val steps : run -> int

@@ -9,7 +9,7 @@ module U = Braid_uarch
    optimising — BENCH_sim.json files are its trajectory across PRs.
 
    Besides the pipeline rows, the harness times the functional emulators
-   (`emu:NAME` rows: interpreter, interpreter with tracing, compiled
+   (`emu:NAME` rows: interpreter, a full traced run, compiled
    fast-forward — the sampled-simulation speedup base), the RV32IM
    emulators (`rvemu:FIXTURE` rows: interpreter vs threaded-code fast
    path), and sampled simulation itself (`sample:NAME` rows, carrying
@@ -87,9 +87,11 @@ let interleaved_min ~reps fs =
   mins
 
 (* Functional-emulator rows for one prepared benchmark: the interpreter
-   (untraced), the interpreter building a full trace, and the compiled
-   fast-forward engine — all on the conventional binary. The compiled/
-   interpreted ratio is the sampled-simulation fast-forward speedup. *)
+   (untraced), a full traced run ([Emulator.run ~trace:true], the compiled
+   engine's tracer; the row keeps its historical name "emu-interp-traced"
+   so trajectories stay comparable), and the compiled fast-forward engine
+   — all on the conventional binary. The compiled/interpreted ratio is the
+   sampled-simulation fast-forward speedup. *)
 let measure_emu ~reps ~scale (p : Suite.prepared) name =
   let program = p.Suite.conventional.Braid_core.Extalloc.program in
   let init_mem = p.Suite.init_mem in

@@ -8,7 +8,7 @@
     cycle-level simulation hot path.
 
     Each synthetic benchmark additionally yields ["emu:NAME"] rows timing
-    the functional emulators (interpreter, interpreter with tracing,
+    the functional emulators (interpreter, a full traced run,
     compiled fast-forward — the sampled-simulation speedup base) and
     ["sample:NAME"] rows timing sampled simulation itself, carrying the
     sampled-vs-full IPC error. RV fixtures add ["rvemu:FIXTURE"] rows

@@ -72,7 +72,7 @@ type t = {
 
 let create ?(obs = Obs.Sink.disabled) ?(dbg = Debug.off) ?(warm_data = [])
     ?prewarm ?measure_from ?hier (cfg : Config.t) (trace : Trace.t) =
-  let n = Array.length trace.Trace.events in
+  let n = Trace.length trace in
   if n = 0 then invalid_arg "Core.create: empty trace";
   (match measure_from with
   | Some mf when mf < 0 || mf >= n ->
@@ -104,18 +104,18 @@ let create ?(obs = Obs.Sink.disabled) ?(dbg = Debug.off) ?(warm_data = [])
   | None -> ()
   | Some (w : Trace.t) ->
       let last = ref min_int in
-      Array.iter
-        (fun (e : Trace.event) ->
-          let line = e.Trace.pc / 64 in
-          if line <> !last then begin
-            Mem_hier.warm_instr hier e.Trace.pc;
-            last := line
-          end;
-          if e.Trace.is_load || e.Trace.is_store then
-            Mem_hier.warm_data hier e.Trace.addr;
-          if e.Trace.is_cond_branch then
-            Predictor.warm pred ~pc:e.Trace.pc ~taken:e.Trace.taken)
-        w.Trace.events);
+      for u = 0 to Trace.length w - 1 do
+        let pc = Trace.pc w u in
+        let line = pc / 64 in
+        if line <> !last then begin
+          Mem_hier.warm_instr hier pc;
+          last := line
+        end;
+        if Trace.is_load w u || Trace.is_store w u then
+          Mem_hier.warm_data hier (Trace.addr w u);
+        if Trace.is_cond_branch w u then
+          Predictor.warm pred ~pc ~taken:(Trace.taken w u)
+      done);
   let guard = (200 * n) + 100_000 in
   let last_progress = ref 0 in
   let last_committed = ref 0 in
@@ -180,16 +180,18 @@ let create ?(obs = Obs.Sink.disabled) ?(dbg = Debug.off) ?(warm_data = [])
      program down the mispredicted direction, touching I-cache lines
      (polluting them) at fetch width per cycle. *)
   let program = trace.Trace.program in
-  let wrong_path_of (e : Trace.event) =
-    let b = program.Program.blocks.(e.Trace.block_id) in
-    if e.Trace.taken then
+  let sidx = trace.Trace.sidx and bits = trace.Trace.bits in
+  let s_flags = trace.Trace.static.Trace.s_flags in
+  let wrong_path_of u =
+    let blk = Trace.block_id trace u and off = Trace.offset trace u in
+    let b = program.Program.blocks.(blk) in
+    if Trace.taken trace u then
       (* predicted not-taken: the wrong path falls through *)
-      if e.Trace.offset + 1 < Array.length b.Program.instrs then
-        Some (e.Trace.block_id, e.Trace.offset + 1)
+      if off + 1 < Array.length b.Program.instrs then Some (blk, off + 1)
       else Option.map (fun ft -> (ft, 0)) b.Program.fallthrough
     else
       (* predicted taken: the wrong path is the branch target *)
-      match b.Program.instrs.(e.Trace.offset).Instr.op with
+      match b.Program.instrs.(off).Instr.op with
       | Op.Branch (_, _, target) -> Some (target, 0)
       | _ -> None
   in
@@ -288,11 +290,14 @@ let create ?(obs = Obs.Sink.disabled) ?(dbg = Debug.off) ?(warm_data = [])
         && !fetch_idx < n
         && not (Ring.is_full fetchq)
       do
-        let e = trace.Trace.events.(!fetch_idx) in
+        let u = !fetch_idx in
+        let ip = sidx.(u) in
+        let pc = 4 * ip in
+        let f = s_flags.(ip) in
         (* I-cache: charge per new line; a miss stalls fetch *)
-        let line = e.Trace.pc / 64 in
+        let line = pc / 64 in
         if line <> !last_line then begin
-          let lat = Mem_hier.instr_latency hier e.Trace.pc in
+          let lat = Mem_hier.instr_latency hier pc in
           last_line := line;
           if lat > cfg.Config.mem.Config.l1i.Config.latency then begin
             icache_ready := now + lat;
@@ -306,48 +311,50 @@ let create ?(obs = Obs.Sink.disabled) ?(dbg = Debug.off) ?(warm_data = [])
           end
         end;
         if not !stop then begin
-          let is_branch = Trace.branch_of e in
+          let is_branch =
+            f land (Trace.flag_cond_branch lor Trace.flag_jump) <> 0
+          in
+          let b = Char.code (Bytes.get bits u) in
+          let taken = b land Trace.bit_taken <> 0 in
           if is_branch && !branches >= cfg.Config.max_branches_per_cycle then
             stop := true
           else begin
-            Ring.push fetchq e.Trace.uid;
+            Ring.push fetchq u;
             incr fetched;
             Obs.Counters.incr c_fetch;
-            Debug.on_fetch dbg ~cycle:now e;
+            Debug.on_fetch dbg ~cycle:now trace u;
             (match tracer with
             | None -> ()
             | Some tr ->
                 Obs.Tracer.record tr
                   (Obs.Tracer.Stage
-                     { cycle = now; uid = e.Trace.uid; stage = Obs.Tracer.Fetch; track = -1 }));
+                     { cycle = now; uid = u; stage = Obs.Tracer.Fetch; track = -1 }));
             if is_branch then incr branches;
             (* a taken transfer missing in the BTB costs a fetch bubble *)
-            if is_branch && e.Trace.taken && not (btb_hit e.Trace.pc) then
+            if is_branch && taken && not (btb_hit pc) then
               icache_ready := max !icache_ready (now + 2);
-            if e.Trace.is_cond_branch then begin
-              let correct =
-                Predictor.predict_and_train pred ~pc:e.Trace.pc ~taken:e.Trace.taken
-              in
+            if f land Trace.flag_cond_branch <> 0 then begin
+              let correct = Predictor.predict_and_train pred ~pc ~taken in
               if not correct then begin
                 blocked :=
                   Some
                     {
-                      uid = e.Trace.uid;
+                      uid = u;
                       penalty = cfg.Config.misprediction_penalty;
                       wrong_path =
-                        (if cfg.Config.model_wrong_path_fetch then wrong_path_of e
+                        (if cfg.Config.model_wrong_path_fetch then wrong_path_of u
                          else None);
                     };
                 stop := true
               end
             end;
             (* arithmetic faults serialize: drain, handle, resume (§3.4) *)
-            if e.Trace.faulting then begin
+            if b land Trace.bit_fault <> 0 then begin
               incr faults;
               blocked :=
                 Some
                   {
-                    uid = e.Trace.uid;
+                    uid = u;
                     penalty = 2 * cfg.Config.misprediction_penalty;
                     wrong_path = None;
                   };

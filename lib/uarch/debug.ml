@@ -88,42 +88,41 @@ let internal_reads (ins : Instr.t) =
     (fun n (r : Reg.t) -> if r.Reg.space = Reg.Intern then n + 1 else n)
     0 (Instr.uses ins)
 
-let on_fetch t ~cycle (e : Trace.event) =
+let on_fetch t ~cycle tr uid =
   match t with
   | None -> ()
   | Some s when not s.invariants -> ()
   | Some s ->
-      let ins = e.Trace.instr in
-      let uid = e.Trace.uid in
+      let ins = Trace.instr tr uid in
       let bad invariant detail = report t ~invariant ~cycle ~uid detail in
-      if e.Trace.writes_int <> Instr.writes_internal ins then
+      if Trace.writes_int tr uid <> Instr.writes_internal ins then
         bad "bits.I" "writes_int flag disagrees with the instruction's I bit";
-      if e.Trace.writes_ext <> Instr.writes_external ins then
+      if Trace.writes_ext tr uid <> Instr.writes_external ins then
         bad "bits.E" "writes_ext flag disagrees with the instruction's E bit";
-      if e.Trace.braid_start <> ins.Instr.annot.Instr.braid_start then
+      if Trace.braid_start tr uid <> ins.Instr.annot.Instr.braid_start then
         bad "bits.S" "braid_start flag disagrees with the instruction's S bit";
-      if e.Trace.ext_src_reads <> Instr.reads_external_count ins then
+      if Trace.ext_src_reads tr uid <> Instr.reads_external_count ins then
         bad "bits.T" "external source count disagrees with the T bits";
       let int_reads = internal_reads ins in
-      if e.Trace.int_src_reads <> int_reads then
+      if Trace.int_src_reads tr uid <> int_reads then
         bad "bits.T" "internal source count disagrees with the T bits";
       (match Config.Core_kind.binary s.cfg.Config.kind with
       | `Braid ->
-          if e.Trace.braid_start && e.Trace.braid_id < 0 then
+          if Trace.braid_start tr uid && Trace.braid_id tr uid < 0 then
             bad "bits.S" "S bit set on an instruction outside any braid"
       | `Conv ->
-          if e.Trace.writes_int || int_reads > 0 then
+          if Trace.writes_int tr uid || int_reads > 0 then
             bad "bits.internal"
               "internal register reached a conventional (non-braid) binary")
 
-let on_dispatch t ~cycle ~beu (e : Trace.event) =
+let on_dispatch t ~cycle ~beu tr uid =
   match t with
   | None -> ()
   | Some s ->
-      if e.Trace.writes_ext then begin
+      if Trace.writes_ext tr uid then begin
         s.ext_alloc <- s.ext_alloc + 1;
         if s.invariants && s.ext_alloc > s.cfg.Config.ext_regs then
-          report t ~invariant:"extfile.capacity" ~cycle ~uid:e.Trace.uid
+          report t ~invariant:"extfile.capacity" ~cycle ~uid
             (Printf.sprintf
                "%d in-flight external values exceed the %d-entry file"
                s.ext_alloc s.cfg.Config.ext_regs)
@@ -135,7 +134,7 @@ let on_dispatch t ~cycle ~beu (e : Trace.event) =
          unissued instructions of the previous braid, so the live set is
          cleared at issue instead — see [on_issue].) *)
       if
-        e.Trace.braid_start
+        Trace.braid_start tr uid
         && s.cfg.Config.kind = Config.Braid_exec
         && beu >= 0
         && beu < Array.length s.live_internal
@@ -153,13 +152,12 @@ let on_ext_release t ~cycle ~uid =
 let internal_def (ins : Instr.t) =
   List.find_opt (fun (r : Reg.t) -> r.Reg.space = Reg.Intern) (Instr.defs ins)
 
-let on_issue t ~cycle ~beu ~bypassed (e : Trace.event) =
+let on_issue t ~cycle ~beu ~bypassed tr uid =
   match t with
   | None -> ()
   | Some s when not s.invariants -> ()
   | Some s ->
-      let uid = e.Trace.uid in
-      if bypassed && not e.Trace.writes_ext then
+      if bypassed && not (Trace.writes_ext tr uid) then
         report t ~invariant:"bypass.internal" ~cycle ~uid
           "a value without the E bit rode the bypass network";
       (* cgooo in-block order: a block window issues strictly from its
@@ -177,12 +175,12 @@ let on_issue t ~cycle ~beu ~bypassed (e : Trace.event) =
         (* a braid opening at issue: the previous braid in this window has
            fully issued, its internal values are architecturally dead *)
         if
-          e.Trace.braid_start && beu < Array.length s.live_internal
+          Trace.braid_start tr uid && beu < Array.length s.live_internal
         then Hashtbl.reset s.live_internal.(beu)
       end;
-      if e.Trace.writes_int && beu >= 0 && beu < Array.length s.live_internal
+      if Trace.writes_int tr uid && beu >= 0 && beu < Array.length s.live_internal
       then
-        match internal_def e.Trace.instr with
+        match internal_def (Trace.instr tr uid) with
         | None -> ()
         | Some r ->
             if r.Reg.idx < 0 || r.Reg.idx >= Reg.num_internal then
@@ -210,16 +208,16 @@ let grow_commits s =
     s.commit_pc <- pc'
   end
 
-let on_commit t ~cycle (e : Trace.event) =
+let on_commit t ~cycle tr uid =
   match t with
   | None -> ()
   | Some s ->
-      if s.invariants && e.Trace.uid <> s.last_commit_uid + 1 then
-        report t ~invariant:"commit.order" ~cycle ~uid:e.Trace.uid
-          (Printf.sprintf "committed uid %d directly after uid %d" e.Trace.uid
+      if s.invariants && uid <> s.last_commit_uid + 1 then
+        report t ~invariant:"commit.order" ~cycle ~uid
+          (Printf.sprintf "committed uid %d directly after uid %d" uid
              s.last_commit_uid);
-      s.last_commit_uid <- e.Trace.uid;
+      s.last_commit_uid <- uid;
       grow_commits s;
-      s.commit_uid.(s.commits) <- e.Trace.uid;
-      s.commit_pc.(s.commits) <- e.Trace.pc;
+      s.commit_uid.(s.commits) <- uid;
+      s.commit_pc.(s.commits) <- Trace.pc tr uid;
       s.commits <- s.commits + 1

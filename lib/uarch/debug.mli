@@ -70,12 +70,13 @@ val committed_pcs : t -> int array
 
 val pp_violation : Format.formatter -> violation -> unit
 
-(** {2 Hooks} — called by [Machine]/[Pipeline]/[Exec_core]. *)
+(** {2 Hooks} — called by [Machine]/[Pipeline]/[Exec_core] with the
+    trace and the uid of the entry concerned. *)
 
-val on_fetch : t -> cycle:int -> Trace.event -> unit
+val on_fetch : t -> cycle:int -> Trace.t -> int -> unit
 (** S/T/I/E bit consistency at fetch. *)
 
-val on_dispatch : t -> cycle:int -> beu:int -> Trace.event -> unit
+val on_dispatch : t -> cycle:int -> beu:int -> Trace.t -> int -> unit
 (** External-file allocation; clears the BEU's internal live-set on an
     S-bit instruction. *)
 
@@ -83,8 +84,9 @@ val on_ext_release : t -> cycle:int -> uid:int -> unit
 (** An external register returned to the free list (early release or
     commit). *)
 
-val on_issue : t -> cycle:int -> beu:int -> bypassed:bool -> Trace.event -> unit
+val on_issue :
+  t -> cycle:int -> beu:int -> bypassed:bool -> Trace.t -> int -> unit
 (** Bypass legality and internal-RF occupancy at issue. *)
 
-val on_commit : t -> cycle:int -> Trace.event -> unit
+val on_commit : t -> cycle:int -> Trace.t -> int -> unit
 (** Records the committed uid/PC and checks global commit order. *)

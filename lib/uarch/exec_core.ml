@@ -56,8 +56,13 @@ let dep_steer m =
     Array.init cfg.Config.clusters (fun _ ->
         Ring.create ~dummy:(-1) ~capacity:cfg.Config.cluster_entries)
   in
+  let tr = Machine.trace m in
   let producer_uids u =
-    Array.to_list (Array.map fst (Machine.event m u).Trace.deps)
+    let acc = ref [] in
+    for k = tr.Trace.dep_off.(u + 1) - 1 downto tr.Trace.dep_off.(u) do
+      acc := tr.Trace.dep_uid.(k) :: !acc
+    done;
+    !acc
   in
   let try_dispatch u =
     let deps = producer_uids u in
@@ -180,6 +185,7 @@ type beu = {
 
 let braid m =
   let cfg = Machine.cfg m in
+  let tr = Machine.trace m in
   let rejects = reject_counter m in
   let beus =
     Array.init cfg.Config.clusters (fun _ ->
@@ -197,7 +203,7 @@ let braid m =
      through the bypass/external paths). *)
   let free b = Ring.is_empty b.fifo in
   let try_dispatch u =
-    if (Machine.event m u).Trace.braid_start then begin
+    if Trace.braid_start tr u then begin
       (* close the previous braid; claim a free BEU *)
       let chosen = ref None in
       Array.iteri (fun i b -> if !chosen = None && free b then chosen := Some i) beus;
@@ -229,16 +235,21 @@ let braid m =
   in
   let cluster_ready u =
     cfg.Config.beu_cluster_size <= 0
-    || Array.for_all
-         (fun (p, via) ->
-           via
-           ||
-           let pb = Machine.beu m p in
-           pb < 0
-           || cluster_of pb = cluster_of (Machine.beu m u)
-           || Machine.now m
-              >= Machine.ext_visible m p + cfg.Config.inter_cluster_latency)
-         (Machine.event m u).Trace.deps
+    ||
+    let ok = ref true in
+    for k = tr.Trace.dep_off.(u) to tr.Trace.dep_off.(u + 1) - 1 do
+      let p = tr.Trace.dep_uid.(k) in
+      let via = Bytes.get tr.Trace.dep_via k <> '\000' in
+      let pb = Machine.beu m p in
+      if
+        not
+          (via || pb < 0
+          || cluster_of pb = cluster_of (Machine.beu m u)
+          || Machine.now m
+             >= Machine.ext_visible m p + cfg.Config.inter_cluster_latency)
+      then ok := false
+    done;
+    !ok
   in
   let cycle () =
     Array.iter
@@ -303,6 +314,7 @@ type block_window = {
 
 let cgooo m =
   let cfg = Machine.cfg m in
+  let tr = Machine.trace m in
   let rejects = reject_counter m in
   let windows =
     Array.init cfg.Config.block_windows (fun _ ->
@@ -322,7 +334,7 @@ let cgooo m =
        block in dispatch yet): the tail of the cut-off block is timed as
        a (short) block of its own, matching the braid-start promotion
        [Emulator.Compiled.trace_window] performs for the braid core. *)
-    if (Machine.event m u).Trace.offset = 0 || !target = None then begin
+    if Trace.offset tr u = 0 || !target = None then begin
       (* block leader: close the previous block; claim a free window *)
       let chosen = ref None in
       Array.iteri

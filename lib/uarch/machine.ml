@@ -120,7 +120,18 @@ end
 type t = {
   cfg : Config.t;
   trace : Trace.t;
-  events : Trace.event array;
+  (* the trace's arrays, lifted out for the hot paths: per-uid static
+     index, address and producer CSR, and the static table's columns *)
+  n : int;
+  sidx : int array;
+  addr : int array;
+  dep_off : int array;
+  dep_uid : int array;
+  dep_via : Bytes.t;
+  s_flags : int array;
+  s_latency : int array;
+  s_ext_reads : int array;
+  s_int_reads : int array;
   ready_deps : int array;  (* producers not yet visible *)
   issue_cycle : int array;  (* max_int = not issued *)
   complete_cycle : int array;
@@ -203,8 +214,9 @@ type t = {
 }
 
 let create ?(obs = Obs.Sink.disabled) ?(dbg = Debug.off) ?hier cfg trace =
-  let events = trace.Trace.events in
-  let n = Array.length events in
+  let n = Trace.length trace in
+  let st = trace.Trace.static in
+  let dep_off = trace.Trace.dep_off in
   let hier =
     match hier with
     | Some h -> h
@@ -218,8 +230,17 @@ let create ?(obs = Obs.Sink.disabled) ?(dbg = Debug.off) ?hier cfg trace =
   {
     cfg;
     trace;
-    events;
-    ready_deps = Array.copy tb.Trace.dep_count;
+    n;
+    sidx = trace.Trace.sidx;
+    addr = trace.Trace.addr;
+    dep_off;
+    dep_uid = trace.Trace.dep_uid;
+    dep_via = trace.Trace.dep_via;
+    s_flags = st.Trace.s_flags;
+    s_latency = st.Trace.s_latency;
+    s_ext_reads = st.Trace.s_ext_reads;
+    s_int_reads = st.Trace.s_int_reads;
+    ready_deps = Array.init n (fun u -> dep_off.(u + 1) - dep_off.(u));
     issue_cycle = Array.make n max_int;
     complete_cycle = Array.make n max_int;
     ext_visible = Array.make n max_int;
@@ -284,8 +305,16 @@ let create ?(obs = Obs.Sink.disabled) ?(dbg = Debug.off) ?hier cfg trace =
 let cfg t = t.cfg
 let obs_sink t = t.obs
 let debug t = t.dbg
-let num_slots t = Array.length t.events
-let event t u = t.events.(u)
+let num_slots t = t.n
+let trace t = t.trace
+
+(* static facts of a uid: one load through its static index *)
+let flags t u = t.s_flags.(t.sidx.(u))
+let ext_src_reads t u = t.s_ext_reads.(t.sidx.(u))
+let is_load_f f = f land Trace.flag_load <> 0
+let is_mem_f f = f land (Trace.flag_load lor Trace.flag_store) <> 0
+let is_cond_branch_f f = f land Trace.flag_cond_branch <> 0
+let writes_ext_f f = f land Trace.flag_writes_ext <> 0
 let now t = t.now
 let hierarchy t = t.hier
 let predictor t = t.pred
@@ -348,15 +377,14 @@ let mem_ready t u =
   else Mem_blocked
 
 let can_issue_ports t u =
-  Rc.available t.read_ports t.now t.events.(u).Trace.ext_src_reads
+  Rc.available t.read_ports t.now (ext_src_reads t u)
 
 let schedule_wake t cycle uid = Calq.add t.wake cycle uid
 
 (* Dep-visibility and cross-braid checks at issue time; only reached when
    the monitor is live with invariant checking on. *)
-let debug_check_issue t u (e : Trace.event) =
-  Array.iter
-    (fun (p, via) ->
+let debug_check_issue t u =
+  Trace.iter_deps t.trace u (fun p via ->
       if not (issued t p) then
         Debug.report t.dbg ~invariant:"wakeup.premature" ~cycle:t.now ~uid:u
           (Printf.sprintf "consumes producer %d which has not issued" p)
@@ -382,15 +410,15 @@ let debug_check_issue t u (e : Trace.event) =
               ~uid:u
               (Printf.sprintf "internal value of %d (BEU %d) read on BEU %d" p
                  t.beu.(p) t.beu.(u));
-          if t.events.(p).Trace.braid_id <> e.Trace.braid_id then
+          let bp = Trace.braid_id t.trace p and bu = Trace.braid_id t.trace u in
+          if bp <> bu then
             Debug.report t.dbg ~invariant:"internal.cross-braid" ~cycle:t.now
               ~uid:u
               (Printf.sprintf
                  "internal value crosses from braid %d (instr %d) to braid %d"
-                 t.events.(p).Trace.braid_id p e.Trace.braid_id)
+                 bp p bu)
         end
       end)
-    e.Trace.deps
 
 let do_issue t u =
   if issued t u then
@@ -407,22 +435,24 @@ let do_issue t u =
      t.ready_in.(t.home.(u)) <- t.ready_in.(t.home.(u)) - 1;
      t.home.(u) <- -1
    end);
-  let e = t.events.(u) in
-  Rc.take t.read_ports t.now e.Trace.ext_src_reads;
-  t.ext_rf_reads <- t.ext_rf_reads + e.Trace.ext_src_reads;
-  t.int_rf_reads <- t.int_rf_reads + e.Trace.int_src_reads;
+  let ip = t.sidx.(u) in
+  let f = t.s_flags.(ip) in
+  let ext_reads = t.s_ext_reads.(ip) in
+  Rc.take t.read_ports t.now ext_reads;
+  t.ext_rf_reads <- t.ext_rf_reads + ext_reads;
+  t.int_rf_reads <- t.int_rf_reads + t.s_int_reads.(ip);
   let lat =
-    if e.Trace.is_load then
+    if is_load_f f then
       match mem_ready t u with
       | Mem_forward -> 1
-      | Mem_cache -> Mem_hier.data_latency t.hier e.Trace.addr
+      | Mem_cache -> Mem_hier.data_latency t.hier t.addr.(u)
       | Mem_blocked ->
           invalid_arg
             (Printf.sprintf
                "Machine.do_issue: load %d issued while blocked on an \
                 unresolved older store (cycle %d)"
                u t.now)
-    else e.Trace.latency
+    else t.s_latency.(ip)
   in
   let complete = t.now + lat in
   t.issue_cycle.(u) <- t.now;
@@ -434,16 +464,16 @@ let do_issue t u =
       Obs.Tracer.record tr
         (Obs.Tracer.Exec { uid = u; track = t.beu.(u); start = t.now; dur = lat });
       (* a load that went past the L1D is a miss fill in flight *)
-      if e.Trace.is_load && lat > t.cfg.Config.mem.Config.l1d.Config.latency then
+      if is_load_f f && lat > t.cfg.Config.mem.Config.l1d.Config.latency then
         Obs.Tracer.record tr
           (Obs.Tracer.Span
              { name = "L1D miss"; cat = "cache"; track = t.beu.(u); start = t.now; dur = lat }));
-  if e.Trace.writes_int then begin
+  if f land Trace.flag_writes_int <> 0 then begin
     t.int_visible.(u) <- complete;
     t.int_rf_writes <- t.int_rf_writes + 1
   end;
   let took_bypass = ref false in
-  if e.Trace.writes_ext then begin
+  if writes_ext_f f then begin
     let bypassed = Rc.try_take t.bypass complete 1 in
     let wb = Rc.take_first_free t.write_ports complete 1 in
     t.ext_rf_writes <- t.ext_rf_writes + 1;
@@ -459,8 +489,9 @@ let do_issue t u =
     t.ext_visible.(u) <- (if bypassed then complete else wb + 1)
   end;
   if Debug.checking t.dbg then begin
-    debug_check_issue t u e;
-    Debug.on_issue t.dbg ~cycle:t.now ~beu:t.beu.(u) ~bypassed:!took_bypass e
+    debug_check_issue t u;
+    Debug.on_issue t.dbg ~cycle:t.now ~beu:t.beu.(u) ~bypassed:!took_bypass
+      t.trace u
   end;
   for k = t.child_off.(u) to t.child_off.(u + 1) - 1 do
     let c = t.child_uid.(k) in
@@ -478,7 +509,7 @@ let do_issue t u =
     schedule_wake t (max visible (t.now + 1)) c
   done;
   (* branch resolution releases its checkpoint *)
-  if e.Trace.is_cond_branch && t.max_unresolved > 0 then
+  if is_cond_branch_f f && t.max_unresolved > 0 then
     Calq.add t.branch_resolve_at (max (complete + 1) (t.now + 1)) u;
   (* Braid dead-value early release: the in-flight external entry of a
      producer frees once the producer has completed and its last external
@@ -487,7 +518,7 @@ let do_issue t u =
   if t.is_braid then begin
       let maybe_release p =
         if
-          t.events.(p).Trace.writes_ext
+          writes_ext_f (flags t p)
           && issued t p
           && Bytes.get t.ext_entry_freed p = '\000'
         then begin
@@ -504,25 +535,27 @@ let do_issue t u =
         end
       in
       maybe_release u;
-      Array.iter (fun (p, via) -> if not via then maybe_release p) e.Trace.deps
+      for k = t.dep_off.(u) to t.dep_off.(u + 1) - 1 do
+        if Bytes.get t.dep_via k = '\000' then maybe_release t.dep_uid.(k)
+      done
   end
 
 let can_dispatch t u =
-  let e = t.events.(u) in
-  let reg_ok = (not e.Trace.writes_ext) || t.free_regs >= 1 in
+  let ip = t.sidx.(u) in
+  let f = t.s_flags.(ip) in
+  let reg_ok = (not (writes_ext_f f)) || t.free_regs >= 1 in
   let checkpoint_ok =
     t.max_unresolved = 0
-    || (not e.Trace.is_cond_branch)
+    || (not (is_cond_branch_f f))
     || t.unresolved_branches < t.max_unresolved
   in
   let ok =
     t.alloc_left >= 1
-    && t.src_left >= e.Trace.ext_src_reads
-    && ((not e.Trace.writes_ext) || t.dst_left >= 1)
+    && t.src_left >= t.s_ext_reads.(ip)
+    && ((not (writes_ext_f f)) || t.dst_left >= 1)
     && reg_ok
     && checkpoint_ok
-    && ((not (e.Trace.is_load || e.Trace.is_store))
-       || t.inflight_mem < t.lsq_limit)
+    && ((not (is_mem_f f)) || t.inflight_mem < t.lsq_limit)
     && t.dispatched_count - t.committed_count < t.inflight_limit
   in
   if not reg_ok then begin
@@ -532,21 +565,21 @@ let can_dispatch t u =
   ok
 
 let note_dispatch t u =
-  let e = t.events.(u) in
+  let ip = t.sidx.(u) in
+  let f = t.s_flags.(ip) in
   t.alloc_left <- t.alloc_left - 1;
-  t.src_left <- t.src_left - e.Trace.ext_src_reads;
-  if e.Trace.writes_ext then begin
+  t.src_left <- t.src_left - t.s_ext_reads.(ip);
+  if writes_ext_f f then begin
     t.dst_left <- t.dst_left - 1;
     t.free_regs <- t.free_regs - 1
   end;
-  if e.Trace.is_load || e.Trace.is_store then
-    t.inflight_mem <- t.inflight_mem + 1;
-  if e.Trace.is_cond_branch && t.max_unresolved > 0 then
+  if is_mem_f f then t.inflight_mem <- t.inflight_mem + 1;
+  if is_cond_branch_f f && t.max_unresolved > 0 then
     t.unresolved_branches <- t.unresolved_branches + 1;
   t.dispatched_count <- t.dispatched_count + 1;
   Obs.Counters.incr t.oc_dispatch;
-  if e.Trace.writes_ext then Obs.Counters.incr t.oc_ext_alloc;
-  Debug.on_dispatch t.dbg ~cycle:t.now ~beu:t.beu.(u) e;
+  if writes_ext_f f then Obs.Counters.incr t.oc_ext_alloc;
+  Debug.on_dispatch t.dbg ~cycle:t.now ~beu:t.beu.(u) t.trace u;
   match t.trc with
   | None -> ()
   | Some tr ->
@@ -558,12 +591,12 @@ let commit_stage t =
   let budget = ref t.cfg.Config.commit_width in
   let continue_ = ref true in
   let tr = t.trc in
-  while !continue_ && !budget > 0 && t.commit_idx < Array.length t.events do
+  while !continue_ && !budget > 0 && t.commit_idx < t.n do
     let u = t.commit_idx in
     if is_complete t u then begin
-      let e = t.events.(u) in
+      let f = flags t u in
       Obs.Counters.incr t.oc_commit;
-      Debug.on_commit t.dbg ~cycle:t.now e;
+      Debug.on_commit t.dbg ~cycle:t.now t.trace u;
       (match tr with
       | None -> ()
       | Some tr ->
@@ -572,17 +605,16 @@ let commit_stage t =
                { cycle = t.now; uid = u; stage = Obs.Tracer.Commit; track = t.beu.(u) }));
       (* stores drain to the data cache at commit (and, on a shared
          backside, through the coherence directory) *)
-      if e.Trace.is_store then Mem_hier.drain_store t.hier e.Trace.addr;
+      if f land Trace.flag_store <> 0 then Mem_hier.drain_store t.hier t.addr.(u);
       (* release the rename/in-flight entry at commit unless the braid
          dead-value path already released it *)
-      if e.Trace.writes_ext && Bytes.get t.ext_entry_freed u = '\000' then begin
+      if writes_ext_f f && Bytes.get t.ext_entry_freed u = '\000' then begin
         Bytes.set t.ext_entry_freed u '\001';
         t.free_regs <- t.free_regs + 1;
         Obs.Counters.incr t.oc_ext_commit_rel;
         Debug.on_ext_release t.dbg ~cycle:t.now ~uid:u
       end;
-      if e.Trace.is_load || e.Trace.is_store then
-        t.inflight_mem <- t.inflight_mem - 1;
+      if is_mem_f f then t.inflight_mem <- t.inflight_mem - 1;
       t.committed_count <- t.committed_count + 1;
       t.commit_idx <- t.commit_idx + 1;
       decr budget
@@ -590,7 +622,7 @@ let commit_stage t =
     else continue_ := false
   done
 
-let all_committed t = t.commit_idx >= Array.length t.events
+let all_committed t = t.commit_idx >= t.n
 let committed_count t = t.committed_count
 
 type dispatch_block =
@@ -603,12 +635,12 @@ type dispatch_block =
   | Block_inflight
 
 let dispatch_block_reason t u =
-  let e = t.events.(u) in
+  let f = flags t u in
   if t.alloc_left < 1 then Block_alloc
-  else if t.src_left < e.Trace.ext_src_reads
-          || (e.Trace.writes_ext && t.dst_left < 1) then Block_rename
+  else if t.src_left < ext_src_reads t u
+          || (writes_ext_f f && t.dst_left < 1) then Block_rename
   else if
-    e.Trace.writes_ext && t.free_regs < 1
+    writes_ext_f f && t.free_regs < 1
     &&
     match t.cfg.Config.kind with
     | Config.In_order | Config.Dep_steer | Config.Ooo | Config.Cgooo -> true
@@ -616,11 +648,11 @@ let dispatch_block_reason t u =
   then Block_regs
   else if
     t.cfg.Config.max_unresolved_branches > 0
-    && e.Trace.is_cond_branch
+    && is_cond_branch_f f
     && t.unresolved_branches >= t.cfg.Config.max_unresolved_branches
   then Block_checkpoint
   else if
-    (e.Trace.is_load || e.Trace.is_store)
+    is_mem_f f
     && t.inflight_mem >= t.cfg.Config.lsq_entries
   then Block_lsq
   else if t.dispatched_count - t.committed_count >= t.cfg.Config.inflight then

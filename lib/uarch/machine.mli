@@ -97,10 +97,11 @@ val debug : t -> Debug.t
     default); execution cores use it for their own structural checks. *)
 
 val num_slots : t -> int
-(** Number of trace events; uids range over [0 .. num_slots - 1]. *)
+(** Number of trace entries; uids range over [0 .. num_slots - 1]. *)
 
-val event : t -> int -> Trace.event
-(** The trace event with this uid. *)
+val trace : t -> Trace.t
+(** The trace the machine times; execution cores read per-uid facts
+    through the {!Trace} accessors. *)
 
 val now : t -> int
 val begin_cycle : t -> unit

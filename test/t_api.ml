@@ -439,20 +439,52 @@ let rec rm_rf dir =
     Unix.rmdir dir
   end
 
-let with_server ~jobs f =
+(* The process's stderr as it was before the test runner redirected it
+   to per-test logs, so a watchdog message reaches the console. *)
+let console = Unix.dup Unix.stderr
+
+(* Ends the test process (exit 3, with a message) if [f] is still running
+   after [seconds]: a daemon test that hangs fails in bounded time instead
+   of stalling the whole suite. *)
+let with_watchdog ~seconds name f =
+  let finished = Atomic.make false in
+  let dog =
+    Thread.create
+      (fun () ->
+        let deadline = Unix.gettimeofday () +. seconds in
+        while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+          Thread.delay 0.05
+        done;
+        if not (Atomic.get finished) then begin
+          let msg =
+            Printf.sprintf "watchdog: %s still running after %.0f s\n" name seconds
+          in
+          ignore (Unix.write_substring console msg 0 (String.length msg));
+          Unix._exit 3
+        end)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set finished true;
+      Thread.join dog)
+    f
+
+let with_server ?(watchdog = 300.0) ~jobs f =
   let sock = fresh_path "api.sock" in
   (try Unix.unlink sock with Unix.Unix_error _ -> ());
   let addr = Api.Addr.Unix_sock sock in
   match Api.Server.create { Api.Server.addr; jobs; max_queue = 16 } with
   | Error m -> Alcotest.fail m
   | Ok server ->
-      let th = Thread.create Api.Server.run server in
-      Fun.protect
-        ~finally:(fun () ->
-          Api.Server.stop server;
-          Thread.join th;
-          try Unix.unlink sock with Unix.Unix_error _ -> ())
-        (fun () -> f addr)
+      with_watchdog ~seconds:watchdog "daemon test" (fun () ->
+          let th = Thread.create Api.Server.run server in
+          Fun.protect
+            ~finally:(fun () ->
+              Api.Server.stop server;
+              Thread.join th;
+              try Unix.unlink sock with Unix.Unix_error _ -> ())
+            (fun () -> f addr))
 
 let rpc ?on_progress addr req =
   match Api.Client.connect addr with
@@ -634,6 +666,82 @@ let test_warm_sweep_zero_simulation () =
           | Ok _ -> Alcotest.fail "unexpected payload"
           | Error m -> Alcotest.fail m))
 
+(* Open descriptors of this process, where the OS lists them. *)
+let open_fds () =
+  match Sys.readdir "/proc/self/fd" with
+  | entries -> Some (Array.length entries)
+  | exception Sys_error _ -> None
+
+(* Seeded churn: 8 clients x 4 rounds against one daemon. Each round a
+   client asks for a status, runs a small simulation, hangs up mid-header
+   or mid-payload, or sends a whole request and vanishes before the
+   answer. Every completed request must get its own correct answer, the
+   daemon must still serve afterwards, and once it stops every descriptor
+   it opened must be closed — exactly once: a second close of a reused
+   number would cut another client's connection, which the answers
+   check. *)
+let test_client_churn () =
+  let fds_before = open_fds () in
+  with_server ~watchdog:60.0 ~jobs:1 (fun addr ->
+      let run_req seed =
+        Req.Run
+          {
+            r_bench = "gzip";
+            r_seed = seed;
+            r_scale = 300;
+            r_core = U.Config.In_order;
+            r_width = 8;
+            r_sample = None;
+          }
+      in
+      let raw_send bytes =
+        match Api.Addr.connect addr with
+        | Error m -> Alcotest.fail m
+        | Ok fd ->
+            (try ignore (Unix.write_substring fd bytes 0 (String.length bytes))
+             with Unix.Unix_error _ -> ());
+            Unix.close fd
+      in
+      let errors = Array.make 8 [] in
+      let fail i msg = errors.(i) <- msg :: errors.(i) in
+      let client i () =
+        let rng = Random.State.make [| 14; i |] in
+        for round = 0 to 3 do
+          match Random.State.int rng 5 with
+          | 0 -> (
+              match rpc addr Req.Status with
+              | Ok (Resp.Status_report _) -> ()
+              | Ok _ -> fail i "status: unexpected payload"
+              | Error m -> fail i ("status: " ^ m))
+          | 1 -> (
+              match rpc addr (run_req (1 + round)) with
+              | Ok (Resp.Run_done { text; _ }) ->
+                  if not (Astring_contains.contains text "gzip on in-order") then
+                    fail i "run: wrong report"
+              | Ok _ -> fail i "run: unexpected payload"
+              | Error m -> fail i ("run: " ^ m))
+          | 2 -> raw_send "\000\000"
+          | 3 ->
+              let frame = Api.Wire.encode (Api.Request.to_json Req.Status) in
+              raw_send (String.sub frame 0 (String.length frame - 3))
+          | _ -> raw_send (Api.Wire.encode (Api.Request.to_json (run_req 9)))
+        done
+      in
+      let threads = Array.init 8 (fun i -> Thread.create (client i) ()) in
+      Array.iter Thread.join threads;
+      Array.iteri
+        (fun i msgs ->
+          List.iter (fun m -> Alcotest.failf "client %d: %s" i m) (List.rev msgs))
+        errors;
+      match rpc addr Req.Status with
+      | Ok (Resp.Status_report _) -> ()
+      | Ok _ -> Alcotest.fail "unexpected payload"
+      | Error m -> Alcotest.fail ("daemon after churn: " ^ m));
+  match (fds_before, open_fds ()) with
+  | Some before, Some after ->
+      Alcotest.(check int) "every descriptor closed after shutdown" before after
+  | _ -> ()
+
 (* A bad request is refused with a message; the daemon and the connection
    both survive to serve the next one. *)
 let test_bad_request_isolated () =
@@ -704,4 +812,5 @@ let suite =
         test_warm_sweep_zero_simulation;
       Alcotest.test_case "bad request isolated" `Quick test_bad_request_isolated;
       Alcotest.test_case "graceful shutdown" `Quick test_graceful_shutdown;
+      Alcotest.test_case "client churn" `Quick test_client_churn;
     ] )

@@ -128,35 +128,30 @@ let test_debug_off_sink () =
 
 (* --- direct hook checks --- *)
 
-let nop_event uid =
-  {
-    Trace.uid;
-    pc = 4 * uid;
-    block_id = 0;
-    offset = uid;
-    instr = Instr.make Op.Nop;
-    deps = [||];
-    addr = -1;
-    is_load = false;
-    is_store = false;
-    is_cond_branch = false;
-    is_jump = false;
-    taken = false;
-    next_pc = 4 * (uid + 1);
-    latency = 1;
-    writes_ext = false;
-    writes_int = false;
-    ext_src_reads = 0;
-    int_src_reads = 0;
-    braid_id = -1;
-    braid_start = false;
-    faulting = false;
-  }
+(* A hand-built trace over a one-block program: entry [u] executes
+   static instruction [u] of [steps.(u) = (instr, address, producers)]. *)
+let straight_trace steps =
+  let instrs = Array.map (fun (ins, _, _) -> ins) steps in
+  let program =
+    Program.make
+      [
+        {
+          Program.id = 0;
+          instrs = Array.append instrs [| Instr.make Op.Halt |];
+          fallthrough = None;
+        };
+      ]
+      ~entry:0
+  in
+  Trace.of_steps program (Array.mapi (fun u (_, addr, deps) -> (u, addr, deps)) steps)
+
+let nops n = straight_trace (Array.make n (Instr.make Op.Nop, -1, []))
 
 let test_debug_commit_order_hook () =
   let dbg = U.Debug.create U.Config.in_order_8wide in
-  U.Debug.on_commit dbg ~cycle:0 (nop_event 0);
-  U.Debug.on_commit dbg ~cycle:1 (nop_event 2);
+  let tr = nops 3 in
+  U.Debug.on_commit dbg ~cycle:0 tr 0;
+  U.Debug.on_commit dbg ~cycle:1 tr 2;
   (* skipped uid 1 *)
   Alcotest.(check int) "violation recorded" 1 (U.Debug.violation_count dbg);
   match U.Debug.violations dbg with
@@ -169,16 +164,17 @@ let test_debug_commit_order_hook () =
 let test_debug_extfile_capacity_hook () =
   let cfg = { U.Config.in_order_8wide with U.Config.ext_regs = 2 } in
   let dbg = U.Debug.create cfg in
-  let ext_write uid =
-    { (nop_event uid) with
-      Trace.instr =
-        Instr.make (Op.Movi (Reg.ext Reg.Cint uid, Int64.of_int uid));
-      writes_ext = true }
+  let tr =
+    straight_trace
+      (Array.init 3 (fun uid ->
+           (Instr.make (Op.Movi (Reg.ext Reg.Cint uid, Int64.of_int uid)), -1, [])))
   in
-  U.Debug.on_dispatch dbg ~cycle:0 ~beu:(-1) (ext_write 0);
-  U.Debug.on_dispatch dbg ~cycle:0 ~beu:(-1) (ext_write 1);
+  Alcotest.(check bool) "Movi to an external register sets E" true
+    (Trace.writes_ext tr 0);
+  U.Debug.on_dispatch dbg ~cycle:0 ~beu:(-1) tr 0;
+  U.Debug.on_dispatch dbg ~cycle:0 ~beu:(-1) tr 1;
   Alcotest.(check int) "at capacity: fine" 0 (U.Debug.violation_count dbg);
-  U.Debug.on_dispatch dbg ~cycle:1 ~beu:(-1) (ext_write 2);
+  U.Debug.on_dispatch dbg ~cycle:1 ~beu:(-1) tr 2;
   Alcotest.(check int) "over capacity flagged" 1 (U.Debug.violation_count dbg);
   U.Debug.on_ext_release dbg ~cycle:2 ~uid:0;
   U.Debug.on_ext_release dbg ~cycle:2 ~uid:1;

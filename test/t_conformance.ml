@@ -128,40 +128,16 @@ let serve_battery kind () =
 
 (* --- fault injection: the battery must catch a rule-breaking core --- *)
 
-let nop_event uid =
-  {
-    Trace.uid;
-    pc = 4 * uid;
-    block_id = 0;
-    offset = uid;
-    instr = Instr.make Op.Nop;
-    deps = [||];
-    addr = -1;
-    is_load = false;
-    is_store = false;
-    is_cond_branch = false;
-    is_jump = false;
-    taken = false;
-    next_pc = 4 * (uid + 1);
-    latency = 1;
-    writes_ext = false;
-    writes_int = false;
-    ext_src_reads = 0;
-    int_src_reads = 0;
-    braid_id = -1;
-    braid_start = false;
-    faulting = false;
-  }
-
 let test_block_order_injection () =
+  let nops = T_check.nops 6 in
   let dbg = U.Debug.create U.Config.cgooo_8wide in
-  U.Debug.on_issue dbg ~cycle:0 ~beu:0 ~bypassed:false (nop_event 0);
-  U.Debug.on_issue dbg ~cycle:1 ~beu:0 ~bypassed:false (nop_event 2);
+  U.Debug.on_issue dbg ~cycle:0 ~beu:0 ~bypassed:false nops 0;
+  U.Debug.on_issue dbg ~cycle:1 ~beu:0 ~bypassed:false nops 2;
   (* a different window has its own order *)
-  U.Debug.on_issue dbg ~cycle:1 ~beu:1 ~bypassed:false (nop_event 5);
+  U.Debug.on_issue dbg ~cycle:1 ~beu:1 ~bypassed:false nops 5;
   Alcotest.(check int) "in-order issues pass" 0 (U.Debug.violation_count dbg);
   (* uid 1 after uid 2 from the same window: corrupted in-block order *)
-  U.Debug.on_issue dbg ~cycle:2 ~beu:0 ~bypassed:false (nop_event 1);
+  U.Debug.on_issue dbg ~cycle:2 ~beu:0 ~bypassed:false nops 1;
   (match U.Debug.violations dbg with
   | [ v ] ->
       Alcotest.(check string) "invariant name" "cgooo.block-order"
@@ -171,8 +147,8 @@ let test_block_order_injection () =
       Alcotest.failf "expected exactly one violation, got %d" (List.length vs));
   (* the braid core has no block windows: same sequence, monitor silent *)
   let braid_dbg = U.Debug.create U.Config.braid_8wide in
-  U.Debug.on_issue braid_dbg ~cycle:0 ~beu:0 ~bypassed:false (nop_event 2);
-  U.Debug.on_issue braid_dbg ~cycle:1 ~beu:0 ~bypassed:false (nop_event 1);
+  U.Debug.on_issue braid_dbg ~cycle:0 ~beu:0 ~bypassed:false nops 2;
+  U.Debug.on_issue braid_dbg ~cycle:1 ~beu:0 ~bypassed:false nops 1;
   Alcotest.(check int) "braid core unaffected" 0
     (U.Debug.violation_count braid_dbg)
 

@@ -178,7 +178,7 @@ let test_emulator_fault_continues () =
   Alcotest.(check i64) "later work ran" 77L (Emulator.read_ext out.Emulator.state (r 5));
   match out.Emulator.trace with
   | Some t ->
-      let faults = Array.to_list t.Trace.events |> List.filter (fun e -> e.Trace.faulting) in
+      let faults = List.filter (Trace.faulting t) (List.init (Trace.length t) Fun.id) in
       Alcotest.(check int) "one fault event" 1 (List.length faults)
   | None -> Alcotest.fail "trace expected"
 
@@ -216,7 +216,7 @@ let test_trace_deps () =
   in
   let out = Emulator.run p in
   let t = Option.get out.Emulator.trace in
-  let deps u = Array.to_list t.Trace.events.(u).Trace.deps |> List.map fst in
+  let deps u = Trace.deps t u |> List.map fst in
   Alcotest.(check (list int)) "add deps" [ 0; 1 ] (deps 2);
   Alcotest.(check (list int)) "chained deps" [ 0; 2 ] (deps 3)
 
@@ -233,15 +233,15 @@ let test_trace_branch_fields () =
   in
   let t = Option.get (Emulator.run p).Emulator.trace in
   let branches =
-    Array.to_list t.Trace.events |> List.filter (fun e -> e.Trace.is_cond_branch)
+    List.filter (Trace.is_cond_branch t) (List.init (Trace.length t) Fun.id)
   in
   Alcotest.(check int) "three dynamic branches" 3 (List.length branches);
-  let takens = List.map (fun e -> e.Trace.taken) branches in
+  let takens = List.map (Trace.taken t) branches in
   Alcotest.(check (list bool)) "taken, taken, not-taken" [ true; true; false ] takens;
   (* next_pc of a taken branch is the target block start *)
   let first = List.hd branches in
   Alcotest.(check int) "taken next_pc" (Program.pc_of p ~block_id:1 ~offset:0)
-    first.Trace.next_pc
+    (Trace.next_pc t first)
 
 let test_memory_image_and_fingerprint () =
   let store addr v = [ i (Op.Movi (r 1, Int64.of_int addr)); i (Op.Movi (r 2, v)); i (Op.Store (r 2, r 1, 0, 0)) ] in

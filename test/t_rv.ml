@@ -282,6 +282,47 @@ let test_fixture_oracle () =
             rep.Ck.Rv_oracle.output)
     fixture_golden
 
+(* A reference run cut off by its step budget verifies nothing: the
+   oracle reports that once, compares no state between two different
+   program points and runs no core, and the verdict stays "not ok". The
+   halting fixtures keep their one-line "ok" report. *)
+let test_truncated_reference_oracle () =
+  let img = Option.get (Rv.Fixtures.image "nbody") in
+  (match Ck.Rv_oracle.check ~max_steps:10_000 img with
+  | Error e -> Alcotest.fail (Rv.Translate.error_to_string e)
+  | Ok rep ->
+      (match rep.Ck.Rv_oracle.findings with
+      | [ f ] ->
+          Alcotest.(check string) "finding kind" "rv-stop" f.Ck.Rv_oracle.kind;
+          check "inconclusive, naming the budget" true
+            (Astring_contains.contains f.Ck.Rv_oracle.detail "inconclusive"
+            && Astring_contains.contains f.Ck.Rv_oracle.detail "10000 steps")
+      | fs ->
+          Alcotest.failf "expected exactly one finding, got %d:\n%s"
+            (List.length fs) (Ck.Rv_oracle.render rep));
+      let core = rep.Ck.Rv_oracle.core in
+      Alcotest.(check int) "no core-level divergence" 0
+        (List.length core.Ck.Oracle.divergences);
+      Alcotest.(check int) "no core simulated" 0 (List.length core.Ck.Oracle.cores);
+      check "not verified" false (Ck.Rv_oracle.ok rep);
+      check "rendered as inconclusive" true
+        (String.starts_with ~prefix:"rv-oracle nbody: INCONCLUSIVE"
+           (Ck.Rv_oracle.render rep)));
+  List.iter
+    (fun (name, _, _) ->
+      let img = Option.get (Rv.Fixtures.image name) in
+      match Ck.Rv_oracle.check img with
+      | Error e -> Alcotest.fail (Rv.Translate.error_to_string e)
+      | Ok rep ->
+          Alcotest.(check string) (name ^ ": one-line ok report")
+            (Printf.sprintf "rv-oracle %s: ok (%d rv / %d ir instructions)\n" name
+               rep.Ck.Rv_oracle.rv_dynamic rep.Ck.Rv_oracle.ir_dynamic)
+            (Ck.Rv_oracle.render rep);
+          Alcotest.(check int) (name ^ ": every default core checked")
+            (List.length Ck.Oracle.default_cores)
+            (List.length rep.Ck.Rv_oracle.core.Ck.Oracle.cores))
+    fixture_golden
+
 let suite =
   ( "rv",
     [
@@ -306,4 +347,6 @@ let suite =
         test_nbody_golden;
       Alcotest.test_case "differential oracle on all fixtures" `Slow
         test_fixture_oracle;
+      Alcotest.test_case "oracle on a truncated reference" `Slow
+        test_truncated_reference_oracle;
     ] )

@@ -217,7 +217,7 @@ let test_compiled_identity () =
 let test_measure_from_validation () =
   let p = prepare "mcf" in
   let trace = Suite.trace (Lazy.force ctx) p U.Config.Ooo in
-  let n = Array.length trace.Trace.events in
+  let n = Trace.length trace in
   let run mf = ignore (U.Pipeline.run ~measure_from:mf U.Config.ooo_8wide trace) in
   Alcotest.check_raises "negative"
     (Invalid_argument

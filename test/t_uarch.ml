@@ -254,43 +254,9 @@ let qcheck_all_cores_all_benchmarks =
 
 (* --- do_issue precondition guards --- *)
 
-let tiny_program () =
-  fst (Braid_workload.Build.finish (Braid_workload.Build.create ()))
-
-let mk_event ?(deps = [||]) ?(addr = -1) ?(is_load = false) ?(is_store = false)
-    ~uid instr =
-  {
-    Trace.uid;
-    pc = 4 * uid;
-    block_id = 0;
-    offset = uid;
-    instr;
-    deps;
-    addr;
-    is_load;
-    is_store;
-    is_cond_branch = false;
-    is_jump = false;
-    taken = false;
-    next_pc = 4 * (uid + 1);
-    latency = 1;
-    writes_ext = Instr.writes_external instr;
-    writes_int = Instr.writes_internal instr;
-    ext_src_reads = Instr.reads_external_count instr;
-    int_src_reads = 0;
-    braid_id = -1;
-    braid_start = false;
-    faulting = false;
-  }
-
-let trace_of_events events =
-  {
-    Trace.events;
-    stop = Trace.Halted;
-    program = tiny_program ();
-    warm_lines = None;
-    tables = None;
-  }
+(* one hand-built entry: (instruction, address, producers) *)
+let mk_event ?(deps = []) ?(addr = -1) instr = (instr, addr, deps)
+let trace_of_events = T_check.straight_trace
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -314,8 +280,7 @@ let test_do_issue_guards () =
   (* issuing the same instruction twice *)
   let t =
     trace_of_events
-      [| mk_event ~uid:0 ~is_store:true ~addr:0 store;
-         mk_event ~uid:1 ~is_load:true ~addr:64 load |]
+      [| mk_event ~addr:0 store; mk_event ~addr:64 load |]
   in
   let m = U.Machine.create U.Config.in_order_8wide t in
   U.Machine.begin_cycle m;
@@ -324,8 +289,7 @@ let test_do_issue_guards () =
   (* issuing with unready producers *)
   let t =
     trace_of_events
-      [| mk_event ~uid:0 ~is_store:true ~addr:0 store;
-         mk_event ~uid:1 ~deps:[| (0, false) |] ~is_load:true ~addr:64 load |]
+      [| mk_event ~addr:0 store; mk_event ~deps:[ (0, false) ] ~addr:64 load |]
   in
   let m = U.Machine.create U.Config.in_order_8wide t in
   U.Machine.begin_cycle m;
@@ -333,8 +297,7 @@ let test_do_issue_guards () =
   (* issuing a load while an older same-address store is unresolved *)
   let t =
     trace_of_events
-      [| mk_event ~uid:0 ~is_store:true ~addr:0 store;
-         mk_event ~uid:1 ~is_load:true ~addr:0 load |]
+      [| mk_event ~addr:0 store; mk_event ~addr:0 load |]
   in
   let m = U.Machine.create U.Config.in_order_8wide t in
   U.Machine.begin_cycle m;
@@ -352,10 +315,8 @@ let chain_events n =
         if uid = 0 then Instr.make (Op.Movi (dst, 1L))
         else Instr.make (Op.Ibin (Op.Add, dst, Reg.ext Reg.Cint (uid mod 4), Reg.zero))
       in
-      let deps = if uid = 0 then [||] else [| (uid - 1, false) |] in
-      let e = mk_event ~deps ~uid instr in
-      if uid = 0 then { e with Trace.braid_id = 0; braid_start = true }
-      else { e with Trace.braid_id = 0 })
+      let deps = if uid = 0 then [] else [ (uid - 1, false) ] in
+      mk_event ~deps (Instr.with_braid instr ~id:0 ~start:(uid = 0)))
 
 (* The Core drive loop, reduced to its contract: begin_cycle, commit,
    core cycle, then in-order dispatch — no fetch front-end. *)

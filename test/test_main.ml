@@ -8,6 +8,7 @@ let () =
       T_ring.suite;
       T_isa.suite;
       T_emulator.suite;
+      T_trace.suite;
       T_workload.suite;
       T_braid.suite;
       T_transform.suite;
